@@ -523,29 +523,26 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
     ttc_star = policy.initial_ttc_star
     latencies: list[float] = []
 
-    def pick_gap(state):
-        if measure_latency:
-            t0 = _time.perf_counter()
-            action, gap = policy.gap_action(state, train)
-            latencies.append((_time.perf_counter() - t0) * 1e3)
-        else:
-            action, gap = policy.gap_action(state, train)
-        return action, gap
-
+    # A decision runs from the state encoding to the last broadcast; its
+    # latency is recorded when the policy drives equipped vehicles.
+    t0 = _time.perf_counter()
     state = encode_traffic_state(world, ttc_star)
     pending_gap = None
     pending_ttc = None
     if policy.controls_gap:
-        action, gap = pick_gap(state)
+        action, gap = policy.gap_action(state, train)
         _broadcast_gap(world, gap)
         pending_gap = (state, action)
     if policy.adapts_ttc:
         action, ttc_star = policy.ttc_action(state, train)
         pending_ttc = (state, action)
     _broadcast_ttc(world, ttc_star)
+    if measure_latency and policy.controls_gap:
+        latencies.append((_time.perf_counter() - t0) * 1e3)
 
     window_samples: list[tuple[int, float]] = []
     window_event_start = len(world.events)
+    completed_start = 0
     metrics_tally = SafetyTally()
     speed_acc = [0.0, 0.0, 0]  # speed sum, |accel| sum, vehicle-steps
     jerk_sq_sum = 0.0
@@ -557,6 +554,7 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
     for step in range(n_steps):
         world.step()
         past_warmup = world.time >= warmup
+        step_start = len(window_samples)
         _scan_world(world, past_warmup, speed_acc, window_samples)
         if world.step_index % spc != 0:
             continue
@@ -578,26 +576,33 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
                     equipped_n += 1
             veh.ctrl_accel_prev = veh.a
 
-        completed = world.drain_completed()
+        completed = world.all_completed[completed_start:]
+        completed_start = len(world.all_completed)
         mean_delay = (sum(d for _, d in completed) / len(completed)
                       if completed else None)
-        current_ttcs = []
-        for lid in world.lane_ids:
-            leader = None
-            for veh in world.lanes[lid]:
-                if leader is not None:
-                    t = compute_ttc(veh, leader)
-                    if math.isfinite(t):
-                        current_ttcs.append(t)
-                leader = veh
 
         r_e = reward_acc_efficiency(mean_delay, geometry.mainline_length,
                                     run.congestion_speed)
-        r_s = reward_acc_safety(current_ttcs, ttc_star)
+        r_s = reward_acc_safety((ttc for _, ttc in window_samples[step_start:]),
+                                ttc_star)
         rms_jerk = math.sqrt(equipped_jerk_sq / equipped_n) if equipped_n else 0.0
         r_c = reward_acc_comfort(rms_jerk, max_jerk)
         r_acc = reward_acc_total(r_e, r_s, r_c, weights)
 
+        ttc_tick = ctrl_ticks % ttc_every == 0 or is_last
+        if ttc_tick:
+            tally = classify_safety_events(
+                window_samples, world.events[window_event_start:], ttc_star)
+            if past_warmup:
+                metrics_tally.fp += tally.fp
+                metrics_tally.fn += tally.fn
+            r_ttc = reward_ttc(tally, weights)
+            ttc_reward_sum += r_ttc
+            window_samples = []
+            window_event_start = len(world.events)
+
+        # In train mode the agents' updates run inside the timed decision.
+        t0 = _time.perf_counter()
         state_next = encode_traffic_state(world, ttc_star)
         if policy.controls_gap:
             acc_reward_sum += r_acc
@@ -606,29 +611,20 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
                                    state_next, is_last)
                 policy.train_gap_tick()
             if not is_last:
-                action, gap = pick_gap(state_next)
+                action, gap = policy.gap_action(state_next, train)
                 _broadcast_gap(world, gap)
                 pending_gap = (state_next, action)
-
-        if ctrl_ticks % ttc_every == 0 or is_last:
-            tally = classify_safety_events(
-                window_samples, world.events[window_event_start:], ttc_star)
-            if world.time >= warmup:
-                metrics_tally.fp += tally.fp
-                metrics_tally.fn += tally.fn
-            r_ttc = reward_ttc(tally, weights)
-            ttc_reward_sum += r_ttc
-            if policy.adapts_ttc:
-                if train and train_ttc:
-                    policy.observe_ttc(pending_ttc[0], pending_ttc[1], r_ttc,
-                                       state_next, is_last)
-                    policy.train_ttc_tick()
-                if not is_last:
-                    action, ttc_star = policy.ttc_action(state_next, train)
-                    pending_ttc = (state_next, action)
-                    _broadcast_ttc(world, ttc_star)
-            window_samples = []
-            window_event_start = len(world.events)
+        if ttc_tick and policy.adapts_ttc:
+            if train and train_ttc:
+                policy.observe_ttc(pending_ttc[0], pending_ttc[1], r_ttc,
+                                   state_next, is_last)
+                policy.train_ttc_tick()
+            if not is_last:
+                action, ttc_star = policy.ttc_action(state_next, train)
+                pending_ttc = (state_next, action)
+                _broadcast_ttc(world, ttc_star)
+        if measure_latency and policy.controls_gap and not is_last:
+            latencies.append((_time.perf_counter() - t0) * 1e3)
 
     if train:
         policy.end_episode(True)

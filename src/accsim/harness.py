@@ -480,7 +480,11 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
 
 def measure_latency(scenario: Scenario, policy: ControlPolicy, *,
                     min_decisions: int = 1000, base_seed: int = 100) -> list[float]:
-    """Per-decision latencies (ms) over however many episodes are needed."""
+    """Per-decision latencies (ms) over however many episodes are needed.
+
+    Each sample is one whole control decision: state encoding, the gap
+    and threshold agents and both broadcasts.
+    """
     latencies: list[float] = []
     seed = base_seed
     while len(latencies) < min_decisions:

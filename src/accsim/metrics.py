@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple
 
 from .simcore import (
     EVENT_ACTUAL_COLLISION,
@@ -49,12 +49,6 @@ class SafetyTally:
     fn: int = 0
     ac: int = 0
     near_collisions: int = 0
-
-    def add(self, other: "SafetyTally") -> None:
-        self.fp += other.fp
-        self.fn += other.fn
-        self.ac += other.ac
-        self.near_collisions += other.near_collisions
 
 
 def classify_safety_events(
@@ -123,69 +117,3 @@ class TrajectoryRow(NamedTuple):
     accel: float
     gap: float  # bumper gap to leader, inf if none
     equipped: bool
-
-
-def aggregate_episode(
-    events: Sequence[TimedEvent],
-    trajectory: Sequence[TrajectoryRow],
-    *,
-    mainline_length: float,
-    warmup: float,
-    control_interval: float,
-    tally: Optional[SafetyTally] = None,
-    seed: int = 0,
-    scenario: str = "",
-    penetration: float = 0.0,
-    ramp_flow: float = 0.0,
-) -> EpisodeMetrics:
-    """Aggregate a completed episode from its event and trajectory logs.
-
-    Delay counts only vehicles observed past the segment end; speed and
-    comfort statistics cover every vehicle-step after the warm-up.  Raises
-    MetricsError when no vehicle completed traversal.
-    """
-    if tally is None:
-        tally = SafetyTally()
-    speed_sum = 0.0
-    accel_sum = 0.0
-    samples = 0
-    first_time: dict[int, float] = {}
-    complete_time: dict[int, float] = {}
-    ctrl_accel: dict[int, tuple[float, float]] = {}  # id -> (time, accel)
-    jerk_sq_sum = 0.0
-    jerk_samples = 0
-    for row in trajectory:
-        if row.id not in first_time:
-            first_time[row.id] = row.time
-        if row.position >= mainline_length and row.id not in complete_time:
-            complete_time[row.id] = row.time
-        if row.time >= warmup and row.position <= mainline_length:
-            speed_sum += row.speed
-            accel_sum += abs(row.accel)
-            samples += 1
-        phase = row.time / control_interval
-        if math.isclose(phase, round(phase), abs_tol=1e-6):
-            prev = ctrl_accel.get(row.id)
-            if prev is not None and row.time >= warmup:
-                jerk = (row.accel - prev[1]) / (row.time - prev[0])
-                jerk_sq_sum += jerk * jerk
-                jerk_samples += 1
-            ctrl_accel[row.id] = (row.time, row.accel)
-    if not complete_time:
-        raise MetricsError("no vehicle completed traversal in this episode")
-    delays = [complete_time[i] - first_time[i] for i in complete_time]
-    nc = sum(1 for e in events if e.kind == EVENT_NEAR_COLLISION)
-    ac = sum(1 for e in events if e.kind == EVENT_ACTUAL_COLLISION)
-    out_tally = SafetyTally(fp=tally.fp, fn=tally.fn, ac=ac, near_collisions=nc)
-    return EpisodeMetrics(
-        seed=seed,
-        scenario=scenario,
-        penetration=penetration,
-        ramp_flow=ramp_flow,
-        near_collisions=nc,
-        tally=out_tally,
-        mean_speed=speed_sum / samples if samples else 0.0,
-        mean_delay=sum(delays) / len(delays),
-        mean_abs_accel=accel_sum / samples if samples else 0.0,
-        mean_sq_jerk=jerk_sq_sum / jerk_samples if jerk_samples else 0.0,
-    )

@@ -123,7 +123,6 @@ class RunConfig:
 @dataclass(frozen=True)
 class AgentConfig:
     ttc_decision_interval: float = 10.0  # seconds between threshold updates
-    shared_policy: bool = True
     alpha_fp: float = 1.0
     alpha_fn: float = 2.0
     alpha_ac: float = 10.0
@@ -191,7 +190,6 @@ _SECTIONS = {
     "agents": AgentConfig,
 }
 
-_BOOL_KEYS = {"shared_policy"}
 _INT_KEYS = {"lane_count", "seed", "train_start_buffer"}
 _STR_KEYS = {"ramp_kind", "arrival_process", "training_schedule"}
 
@@ -199,13 +197,6 @@ _STR_KEYS = {"ramp_kind", "arrival_process", "training_schedule"}
 def _coerce(section: str, key: str, raw: str):
     if key in _STR_KEYS:
         return raw.strip()
-    if key in _BOOL_KEYS:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ScenarioError(f"[{section}] {key}: expected a boolean, got {raw!r}")
     try:
         if key in _INT_KEYS:
             return int(raw)

@@ -188,11 +188,8 @@ class World:
 
         self.spawned = 0
         self.despawned = 0
-        self.collisions = 0
         self._active_nc: set[tuple[int, int]] = set()
-        # traversal completions since last drain: (vehicle, travel_time)
-        self.completed: list[tuple[Vehicle, float]] = []
-        # every completion this episode: (finish_time, travel_time)
+        # every through-traversal completion: (finish_time, travel_time)
         self.all_completed: list[tuple[float, float]] = []
         self.default_gap_cmd = 10.0  # applied to equipped vehicles at spawn
         self.default_danger_ttc = 4.0
@@ -356,7 +353,7 @@ class World:
                     return veh.lane - 1
             return None
         # Discretionary: move if clearly impeded and a neighbor lane is freer.
-        leader = self._leader_of(veh)
+        leader, _, _ = self._neighbors(self.lanes[veh.lane], veh.x)
         if leader is None:
             return None
         gap = leader.x - leader.length - veh.x
@@ -383,11 +380,6 @@ class World:
             if gain > best_gain and self._gap_acceptable(veh, target, 0.0):
                 best, best_gain = target, gain
         return best
-
-    def _leader_of(self, veh: Vehicle) -> Optional[Vehicle]:
-        lane = self.lanes[veh.lane]
-        i = lane.index(veh)
-        return lane[i - 1] if i > 0 else None
 
     def _apply_lane_changes(self) -> None:
         for lid in self.lane_ids:
@@ -469,7 +461,6 @@ class World:
                 gap = leader.x - leader.length - follower.x
                 if gap < 0.0:
                     self._log(EVENT_ACTUAL_COLLISION, follower.id, leader.id)
-                    self.collisions += 1
                     crashed.append(leader)
                     crashed.append(follower)
                 elif gap < min_gap and follower.v > leader.v:
@@ -501,9 +492,8 @@ class World:
                     self.despawned += 1
                     self._log(EVENT_DESPAWN, veh.id)
                     if out and veh.route == ROUTE_THROUGH:
-                        travel = self.time - veh.spawn_time
-                        self.completed.append((veh, travel))
-                        self.all_completed.append((self.time, travel))
+                        self.all_completed.append(
+                            (self.time, self.time - veh.spawn_time))
                 else:
                     keep.append(veh)
             if len(keep) != len(lane):
@@ -529,26 +519,3 @@ class World:
         if self.trajectory_sink is not None:
             self.trajectory_sink(self)
         self._despawn()
-
-    def drain_completed(self) -> list[tuple[Vehicle, float]]:
-        done, self.completed = self.completed, []
-        return done
-
-
-def detect_near_collisions(world: World) -> list[tuple[int, int]]:
-    """Current (follower_id, leader_id) near-collision pairs.
-
-    A pair qualifies iff the leader is immediately ahead in the same lane,
-    the bumper gap is below the configured minimum, and the follower is
-    strictly faster.
-    """
-    out = []
-    min_gap = world.run.min_gap_for_near_collision
-    for lid in world.lane_ids:
-        lane = world.lanes[lid]
-        for i in range(1, len(lane)):
-            leader, follower = lane[i - 1], lane[i]
-            gap = leader.x - leader.length - follower.x
-            if gap < min_gap and follower.v > leader.v:
-                out.append((follower.id, leader.id))
-    return out

@@ -45,7 +45,12 @@ from accsim.scenario import (
     RunConfig,
     load_builtin,
 )
-from accsim.simcore import Vehicle, World, detect_near_collisions
+from accsim.simcore import (
+    EVENT_ACTUAL_COLLISION,
+    EVENT_NEAR_COLLISION,
+    Vehicle,
+    World,
+)
 
 
 def report(capsys, num, ok, detail):
@@ -296,10 +301,11 @@ def test_criterion_08_determinism_and_oracles(capsys, tmp_path):
           for _ in range(2)]
     log_ok = ev[0] == ev[1]
 
-    # (b) near-collision detector vs brute-force all-pairs oracle
+    # (b) the event detector vs a brute-force all-pairs oracle
     rng = random.Random(8)
     mismatches = 0
     positives = 0
+    collisions = 0
     for _ in range(10_000):
         geometry = RoadGeometry(mainline_length=500.0,
                                 lane_count=rng.randint(1, 3),
@@ -315,7 +321,7 @@ def test_criterion_08_determinism_and_oracles(capsys, tmp_path):
                     vid, x, rng.uniform(0.0, 33.0), rng.uniform(4.0, 5.0),
                     lid, 0.0, 1.0, 2.6, False, ROUTE_THROUGH, 0.0))
                 vid += 1
-        want = set()
+        want_nc, want_ac = set(), set()
         for lid in world.lane_ids:
             lane = world.lanes[lid]
             for follower in lane:
@@ -324,12 +330,19 @@ def test_criterion_08_determinism_and_oracles(capsys, tmp_path):
                     continue
                 leader = min(ahead, key=lambda w: w.x)
                 gap = leader.x - leader.length - follower.x
-                if gap < run.min_gap_for_near_collision \
+                if gap < 0.0:
+                    want_ac.add((follower.id, leader.id))
+                elif gap < run.min_gap_for_near_collision \
                         and follower.v > leader.v:
-                    want.add((follower.id, leader.id))
-        got = set(detect_near_collisions(world))
-        mismatches += got != want
-        positives += len(want)
+                    want_nc.add((follower.id, leader.id))
+        world._detect_events()
+        got_nc = {(e.subject, e.object) for e in world.events
+                  if e.kind == EVENT_NEAR_COLLISION}
+        got_ac = {(e.subject, e.object) for e in world.events
+                  if e.kind == EVENT_ACTUAL_COLLISION}
+        mismatches += got_nc != want_nc or got_ac != want_ac
+        positives += len(want_nc)
+        collisions += len(want_ac)
 
     # (c) checkpoint round trip preserves Q-values bit-exactly
     agent = DqnAgent(13, 21, seed=5)
@@ -345,7 +358,8 @@ def test_criterion_08_determinism_and_oracles(capsys, tmp_path):
     report(capsys, 8, ok,
            f"CSV bytes identical={csv_ok}, episode logs identical={log_ok}, "
            f"detector mismatches {mismatches}/10000 worlds "
-           f"({positives} positive pairs), checkpoint Q-values "
+           f"({positives} near-collision, {collisions} collision pairs), "
+           f"checkpoint Q-values "
            f"bit-exact={q_ok}")
 
 

@@ -5,7 +5,8 @@ both episode rewards; the training case hashes the data rows of
 ``rewards.csv`` (its ``# config=`` comment lines are left out, so a change to
 an unused config field does not move the digest).  Any change to simulator,
 agent or metric behaviour shows up here.  To re-pin after a deliberate
-behaviour change, run ``python tests/test_golden.py`` and paste its output.
+behaviour change, run ``PYTHONPATH=src python tests/test_golden.py`` and
+paste its output.
 """
 
 import hashlib
@@ -22,6 +23,8 @@ SYSTEMS = {
     "scripted4": PolicySpec("scripted", ttc_star=4.0),
     "saint": PolicySpec("saint"),  # untrained, weights from seed 0
 }
+EVAL_CASES = [(name, system, seed) for name in ("desk", "onramp")
+              for system in SYSTEMS for seed in EVAL_SEEDS]
 TRAIN_EPISODES = 12
 TRAIN_SEED = 3
 
@@ -80,12 +83,7 @@ def train_digest(out_dir) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-def eval_cases():
-    return [(name, system, seed) for name in ("desk", "onramp")
-            for system in SYSTEMS for seed in EVAL_SEEDS]
-
-
-@pytest.mark.parametrize("case", eval_cases(),
+@pytest.mark.parametrize("case", EVAL_CASES,
                          ids=lambda case: "-".join(map(str, case)))
 def test_eval_digest(case):
     assert eval_digest(*case) == GOLDEN_EVAL[case]
@@ -100,7 +98,7 @@ if __name__ == "__main__":
     from pathlib import Path
 
     print("GOLDEN_EVAL = {")
-    for case in eval_cases():
+    for case in EVAL_CASES:
         print(f"    {case!r}:\n        {eval_digest(*case)!r},")
     print("}")
     with tempfile.TemporaryDirectory() as tmp:

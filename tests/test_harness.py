@@ -3,10 +3,12 @@
 import csv
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
+from accsim import agents
 from accsim.harness import (
     HarnessError,
     PolicySpec,
@@ -232,6 +234,21 @@ def test_measure_latency_accumulates():
     assert len(lats) >= 50
     assert all(l >= 0.0 for l in lats)
     assert sum(lats) / len(lats) < 50.0  # sanity, not the acceptance bound
+
+
+def test_measure_latency_times_whole_decision(monkeypatch):
+    # the state encoding is part of every timed decision
+    encode = agents.encode_traffic_state
+
+    def slow_encode(*args, **kwargs):
+        time.sleep(0.001)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(agents, "encode_traffic_state", slow_encode)
+    lats = measure_latency(load_builtin("desk"), ScriptedGapPolicy(4.0),
+                           min_decisions=50)
+    assert len(lats) >= 50
+    assert min(lats) >= 1.0
 
 
 def test_capture_spacetime(tmp_path):

@@ -1,24 +1,27 @@
 """Oracle tests for TTC, safety-event classification, and aggregation."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from accsim.agents import ScriptedGapPolicy, run_episode
 from accsim.metrics import (
     EPISODE_CSV_COLUMNS,
+    EpisodeMetrics,
     MetricsError,
     SafetyTally,
-    TrajectoryRow,
-    aggregate_episode,
     classify_safety_events,
     compute_ttc,
 )
+from accsim.scenario import ROUTE_THROUGH, load_builtin
 from accsim.simcore import (
     EVENT_ACTUAL_COLLISION,
     EVENT_NEAR_COLLISION,
     TimedEvent,
+    World,
 )
 
 
@@ -115,82 +118,85 @@ def test_classify_empty_window():
     assert (tally.fp, tally.fn, tally.ac, tally.near_collisions) == (0, 0, 0, 0)
 
 
-def test_tally_add():
-    a = SafetyTally(1, 2, 3, 4)
-    a.add(SafetyTally(10, 20, 30, 40))
-    assert (a.fp, a.fn, a.ac, a.near_collisions) == (11, 22, 33, 44)
-
-
 # ---- aggregation --------------------------------------------------------
 
 
-def straight_run(speed=30.0, length=1500.0, dt=1.0, vid=1):
-    rows = []
-    t = 0.0
-    x = 0.0
-    while x < length + speed * dt:
-        rows.append(TrajectoryRow(t, vid, 0, x, speed, 0.0, math.inf, False))
-        t += dt
-        x += speed * dt
-    return rows
+def test_episode_metrics_match_vehicle_states(monkeypatch):
+    """run_episode's aggregates equal figures recomputed from the vehicle
+    states seen after every physics step."""
+    sc = load_builtin("desk")
+    warmup = sc.run.warmup_duration
+    end = sc.geometry.mainline_length
+    spc = sc.run.steps_per_control
+    interval = sc.run.control_interval
+    speed_sum = accel_sum = 0.0
+    samples = 0
+    first_seen: dict[int, float] = {}
+    delays: list[float] = []
+    tick_accel: dict[int, float] = {}
+    jerk_sq_sum = 0.0
+    jerk_samples = 0
+    original_step = World.step
+
+    def observed_step(world):
+        nonlocal speed_sum, accel_sum, samples, tick_accel, jerk_sq_sum, \
+            jerk_samples
+        original_step(world)
+        vehicles = list(world.vehicles())
+        for veh in vehicles:
+            first_seen.setdefault(veh.id, world.time)
+        if world.time >= warmup:
+            speed_sum += sum(veh.v for veh in vehicles)
+            accel_sum += sum(abs(veh.a) for veh in vehicles)
+            samples += len(vehicles)
+        if world.step_index % spc == 0:
+            if world.time >= warmup:
+                for veh in vehicles:
+                    if veh.id in tick_accel:
+                        jerk = (veh.a - tick_accel[veh.id]) / interval
+                        jerk_sq_sum += jerk * jerk
+                        jerk_samples += 1
+            tick_accel = {veh.id: veh.a for veh in vehicles}
+
+    def before_despawn(world):
+        if world.time < warmup:
+            return
+        for veh in world.vehicles():
+            if veh.x >= end and veh.route == ROUTE_THROUGH:
+                delays.append(world.time - first_seen[veh.id])
+
+    monkeypatch.setattr(World, "step", observed_step)
+    m = run_episode(sc, ScriptedGapPolicy(4.0), mode="eval", seed=5,
+                    trajectory_sink=before_despawn).metrics
+    assert samples and delays and jerk_samples
+    assert m.mean_speed == pytest.approx(speed_sum / samples, rel=1e-12)
+    assert m.mean_abs_accel == pytest.approx(accel_sum / samples, rel=1e-12)
+    assert m.mean_delay == pytest.approx(sum(delays) / len(delays), rel=1e-12)
+    assert m.mean_sq_jerk == pytest.approx(jerk_sq_sum / jerk_samples,
+                                           rel=1e-12)
 
 
-def test_aggregate_single_vehicle_delay_example():
-    # 30 m/s over 1500 m -> 50 s traversal
-    rows = straight_run()
-    m = aggregate_episode([], rows, mainline_length=1500.0, warmup=0.0,
-                          control_interval=1.0)
-    assert m.mean_delay == pytest.approx(50.0, rel=1e-9)
-    assert m.mean_speed == pytest.approx(30.0, rel=1e-9)
-    assert m.mean_abs_accel == 0.0
-    assert m.mean_sq_jerk == 0.0
-
-
-def test_aggregate_counts_events_and_tally_passthrough():
-    rows = straight_run()
-    events = [ev(EVENT_NEAR_COLLISION, 1, t=10.0),
-              ev(EVENT_NEAR_COLLISION, 2, t=11.0),
-              ev(EVENT_ACTUAL_COLLISION, 3, t=12.0)]
-    m = aggregate_episode(events, rows, mainline_length=1500.0, warmup=0.0,
-                          control_interval=1.0, tally=SafetyTally(fp=5, fn=2))
-    assert m.near_collisions == 2
-    assert m.tally.fp == 5 and m.tally.fn == 2 and m.tally.ac == 1
-
-
-def test_aggregate_warmup_excluded_from_speed():
-    rows = [TrajectoryRow(float(t), 1, 0, 10.0 * t, 40.0 if t < 5 else 20.0,
-                          0.0, math.inf, False) for t in range(20)]
-    rows.append(TrajectoryRow(20.0, 1, 0, 1500.0, 20.0, 0.0, math.inf, False))
-    m = aggregate_episode([], rows, mainline_length=1500.0, warmup=5.0,
-                          control_interval=1.0)
-    assert m.mean_speed == pytest.approx(20.0)
-
-
-def test_aggregate_jerk_oracle():
-    # accel ramps 0,1,2,... at 1 s ticks -> jerk 1 m/s^3 between ticks
-    rows = [TrajectoryRow(float(t), 1, 0, 30.0 * t, 30.0, float(t),
-                          math.inf, False) for t in range(60)]
-    rows.append(TrajectoryRow(60.0, 1, 0, 1800.0, 30.0, 60.0, math.inf, False))
-    m = aggregate_episode([], rows, mainline_length=1500.0, warmup=0.0,
-                          control_interval=1.0)
-    assert m.mean_sq_jerk == pytest.approx(1.0, rel=1e-9)
-
-
-def test_aggregate_no_completion_raises():
-    rows = [TrajectoryRow(0.0, 1, 0, 100.0, 30.0, 0.0, math.inf, False)]
-    with pytest.raises(MetricsError):
-        aggregate_episode([], rows, mainline_length=1500.0, warmup=0.0,
-                          control_interval=1.0)
+def test_episode_without_completion_raises():
+    # at most 33.3 m/s, nothing crosses the 800 m segment within 20 s
+    sc = load_builtin("desk")
+    short = sc.replace(run=replace(sc.run, episode_duration=20.0,
+                                   warmup_duration=10.0))
+    with pytest.raises(MetricsError, match="no vehicle completed"):
+        run_episode(short, ScriptedGapPolicy(4.0), mode="eval", seed=5)
 
 
 def test_csv_row_matches_column_order():
-    rows = straight_run()
-    m = aggregate_episode([], rows, mainline_length=1500.0, warmup=0.0,
-                          control_interval=1.0, seed=7, scenario="onramp",
-                          penetration=0.8, ramp_flow=1200.0)
+    m = EpisodeMetrics(
+        seed=7, scenario="onramp", penetration=0.8, ramp_flow=1200.0,
+        near_collisions=3,
+        tally=SafetyTally(fp=5, fn=2, ac=1, near_collisions=3),
+        mean_speed=30.0, mean_delay=50.0, mean_abs_accel=0.25,
+        mean_sq_jerk=0.125)
     row = m.csv_row()
     assert len(row) == len(EPISODE_CSV_COLUMNS)
-    assert row[0] == 7 and row[1] == "onramp"
-    assert row[2] == 0.8 and row[3] == 1200.0
-    assert row[EPISODE_CSV_COLUMNS.index("near_collisions")] == 0
-    assert float(row[EPISODE_CSV_COLUMNS.index("mean_delay")]) == 50.0
+    assert dict(zip(EPISODE_CSV_COLUMNS, row)) == {
+        "seed": 7, "scenario": "onramp", "penetration": 0.8,
+        "ramp_flow": 1200.0, "near_collisions": 3, "fp": 5, "fn": 2, "ac": 1,
+        "mean_speed": "30.000000", "mean_delay": "50.000000",
+        "mean_abs_accel": "0.250000", "mean_sq_jerk": "0.125000",
+    }

@@ -22,7 +22,6 @@ from accsim.simcore import (
     Vehicle,
     World,
     acc_target_gap_control,
-    detect_near_collisions,
     krauss_safe_speed,
 )
 
@@ -261,12 +260,16 @@ def test_positions_stay_in_segment():
             assert veh.x < end + FREE_FLOW_SPEED  # despawned within one step
 
 
-# ---- near-collision detector vs brute force -----------------------------
+# ---- event detector vs brute force --------------------------------------
 
 
-def brute_force_nc(world):
-    """Independent all-pairs oracle for near-collision pairs."""
-    out = set()
+def brute_force_pairs(world):
+    """Independent all-pairs oracle: (near-collision, collision) pairs.
+
+    A bumper overlap (gap < 0) is a collision; 0 <= gap < min_gap with the
+    follower strictly faster is a near collision.
+    """
+    near, crash = set(), set()
     min_gap = world.run.min_gap_for_near_collision
     for lid in world.lane_ids:
         lane = world.lanes[lid]
@@ -276,9 +279,15 @@ def brute_force_nc(world):
                 continue
             leader = min(ahead, key=lambda w: w.x)
             gap = leader.x - leader.length - follower.x
-            if gap < min_gap and follower.v > leader.v:
-                out.add((follower.id, leader.id))
-    return out
+            if gap < 0.0:
+                crash.add((follower.id, leader.id))
+            elif gap < min_gap and follower.v > leader.v:
+                near.add((follower.id, leader.id))
+    return near, crash
+
+
+def logged_pairs(world, kind):
+    return {(e.subject, e.object) for e in world.events if e.kind == kind}
 
 
 def random_world(rng):
@@ -299,14 +308,17 @@ def random_world(rng):
 
 def test_nc_detector_matches_brute_force_oracle():
     rng = random.Random(42)
-    pairs_seen = 0
+    near_seen = crash_seen = 0
     for _ in range(2000):
         world = random_world(rng)
-        got = set(detect_near_collisions(world))
-        want = brute_force_nc(world)
-        assert got == want
-        pairs_seen += len(want)
-    assert pairs_seen > 50  # the cases exercised the positive branch
+        near, crash = brute_force_pairs(world)
+        world._detect_events()
+        assert logged_pairs(world, EVENT_NEAR_COLLISION) == near
+        assert logged_pairs(world, EVENT_ACTUAL_COLLISION) == crash
+        near_seen += len(near)
+        crash_seen += len(crash)
+    # the cases exercised both positive branches
+    assert near_seen > 50 and crash_seen > 50
 
 
 def test_nc_events_are_onset_deduplicated():
@@ -330,7 +342,6 @@ def test_actual_collision_removes_both_vehicles():
     crashes = [e for e in world.events if e.kind == EVENT_ACTUAL_COLLISION]
     assert len(crashes) == 1
     assert world.lanes[0] == []
-    assert world.collisions == 1
 
 
 # ---- lane-change gap acceptance ----------------------------------------
