@@ -141,47 +141,71 @@ def encode_traffic_state(world: World, ttc_star: float,
 
     Mainline and ramp traffic are featurized separately; empty lanes yield
     zero density/speed and the mean-TTC feature sits at its cap.
+
+    One pass per lane, front to back.  Every sum adds the same terms in the
+    same order as a plain per-vehicle walk, so the state is bit-identical
+    to it.  `compute_ttc` is called only for closing pairs (follower
+    strictly faster): it returns inf for every other pair, and infinite
+    TTCs never enter the mean.
     """
     geometry = world.geometry
+    isfinite = math.isfinite
     accel_sum = decel_sum = 0.0
     headway_sum = 0.0
     headway_n = 0
     sigma_sum = gap_set_sum = length_sum = 0.0
     n_total = 0
-    ml_count = 0
-    ml_speed_sum = 0.0
-    ramp_count = 0
-    ramp_speed_sum = 0.0
+    ml_count = ramp_count = 0
+    ml_speed_sum = ramp_speed_sum = 0.0
     ttc_sum = 0.0
     ttc_n = 0
     for lid in world.lane_ids:
+        lane = world.lanes[lid]
+        n_total += len(lane)
+        is_ramp = lid == RAMP_LANE
+        if is_ramp:
+            ramp_count += len(lane)
+            speed_sum = ramp_speed_sum
+        else:
+            ml_count += len(lane)
+            speed_sum = ml_speed_sum
         leader = None
-        for veh in world.lanes[lid]:
-            n_total += 1
-            if veh.a > 0.0:
-                accel_sum += veh.a
+        leader_v = leader_rear = 0.0
+        for veh in lane:
+            v = veh.v
+            a = veh.a
+            length = veh.length
+            if a > 0.0:
+                accel_sum += a
             else:
-                decel_sum -= veh.a
+                decel_sum -= a
             sigma_sum += veh.sigma
-            length_sum += veh.length
+            length_sum += length
             if veh.equipped:
                 gap_set_sum += veh.gap_cmd
-            if lid == RAMP_LANE:
-                ramp_count += 1
-                ramp_speed_sum += veh.v
-            else:
-                ml_count += 1
-                ml_speed_sum += veh.v
+            speed_sum += v
+            x = veh.x
             if leader is not None:
-                gap = leader.x - leader.length - veh.x
-                if veh.v > 0.1:
-                    headway_sum += min(gap / veh.v, HEADWAY_CAP)
+                if v > 0.1:
+                    headway = (leader_rear - x) / v
+                    if headway > HEADWAY_CAP:
+                        headway = HEADWAY_CAP
+                    headway_sum += headway
                     headway_n += 1
-                ttc = compute_ttc(veh, leader)
-                if math.isfinite(ttc):
-                    ttc_sum += min(ttc, mean_ttc_cap)
-                    ttc_n += 1
+                if v > leader_v:
+                    ttc = compute_ttc(veh, leader)
+                    if isfinite(ttc):
+                        if ttc > mean_ttc_cap:
+                            ttc = mean_ttc_cap
+                        ttc_sum += ttc
+                        ttc_n += 1
             leader = veh
+            leader_v = v
+            leader_rear = x - length
+        if is_ramp:
+            ramp_speed_sum = speed_sum
+        else:
+            ml_speed_sum = speed_sum
     ml_km = geometry.mainline_length / 1000.0
     if world.ramp_start is not None:
         ramp_km = max(world.ramp_end - world.ramp_start, 1.0) / 1000.0
@@ -473,16 +497,18 @@ def _scan_world(world: World, collect_metrics: bool, speed_acc: list,
 
 def _broadcast_gap(world: World, gap: float) -> None:
     world.default_gap_cmd = gap
-    for veh in world.vehicles():
-        if veh.equipped:
-            veh.gap_cmd = gap
+    for lane in world.lanes.values():
+        for veh in lane:
+            if veh.equipped:
+                veh.gap_cmd = gap
 
 
 def _broadcast_ttc(world: World, ttc_star: float) -> None:
     world.default_danger_ttc = ttc_star
-    for veh in world.vehicles():
-        if veh.equipped:
-            veh.danger_ttc = ttc_star
+    for lane in world.lanes.values():
+        for veh in lane:
+            if veh.equipped:
+                veh.danger_ttc = ttc_star
 
 
 def run_episode(scenario: Scenario, policy: ControlPolicy, *,

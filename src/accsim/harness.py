@@ -13,6 +13,7 @@ import hashlib
 import math
 import os
 import statistics
+import time
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -180,20 +181,27 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
                 key = (label_v, float(value), seed)
                 tasks.append((key, point_scenario, point_spec, seed))
     outputs = {}
+    start = time.perf_counter()
+
+    def finished(done: int, key: tuple) -> None:
+        if progress:
+            eta = (time.perf_counter() - start) / done * (len(tasks) - done)
+            progress(f"[{done}/{len(tasks)}] {key[0]} {key[1]:g} "
+                     f"seed {key[2]}, eta {eta:.0f}s")
+
     workers = worker_count()
     if workers > 1:
         ctx = get_context("spawn")
         with ctx.Pool(workers) as pool:
-            for key, result in pool.imap_unordered(_run_task, tasks):
+            for done, (key, result) in enumerate(
+                    pool.imap_unordered(_run_task, tasks), 1):
                 outputs[key] = result
-                if progress:
-                    progress(f"{key[0]} {key[1]:g} seed {key[2]}")
+                finished(done, key)
     else:
-        for task in tasks:
+        for done, task in enumerate(tasks, 1):
             key, result = _run_task(task)
             outputs[key] = result
-            if progress:
-                progress(f"{key[0]} {key[1]:g} seed {key[2]}")
+            finished(done, key)
     rows = []
     for key in sorted(outputs):  # deterministic merge order
         label_v, value, seed = key

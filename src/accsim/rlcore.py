@@ -59,13 +59,17 @@ class QNetwork:
         """Q-values for one state (1-d) or a batch (2-d), inference mode."""
         x = np.asarray(state, dtype=float)
         squeeze = x.ndim == 1
-        x = np.atleast_2d(x)
+        if x.ndim < 2:
+            x = x.reshape(1, -1)
         if x.shape[1] != self.input_dim:
             raise ValueError(
                 f"state dimension {x.shape[1]} != input_dim {self.input_dim}")
         z = self.normalize(x)
-        h = np.maximum(z @ self.W1 + self.b1, 0.0)
-        q = h @ self.W2 + self.b2
+        h = z @ self.W1
+        h += self.b1
+        np.maximum(h, 0.0, out=h)
+        q = h @ self.W2
+        q += self.b2
         return q[0] if squeeze else q
 
     def copy(self) -> "QNetwork":
@@ -118,20 +122,35 @@ class AdamState:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform sampling."""
+    """Fixed-capacity ring of transitions with uniform sampling.
+
+    Rows are allocated as they fill: the arrays double (up to `capacity`)
+    when the write position reaches their end, so a buffer holding N
+    transitions holds at most 2N rows.
+    """
 
     def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
-        self.dones = np.zeros(capacity)
+        self.states = np.zeros((0, state_dim))
+        self.actions = np.zeros(0, dtype=np.int64)
+        self.rewards = np.zeros(0)
+        self.next_states = np.zeros((0, state_dim))
+        self.dones = np.zeros(0)
         self.size = 0
         self.pos = 0
 
+    def _grow(self) -> None:
+        rows = min(self.capacity, max(1, 2 * len(self.rewards)))
+        for name in ("states", "actions", "rewards", "next_states", "dones"):
+            old = getattr(self, name)
+            new = np.zeros((rows,) + old.shape[1:], dtype=old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
+
     def push(self, state, action: int, reward: float, next_state, done: bool) -> None:
         i = self.pos
+        if i == len(self.rewards):
+            self._grow()
         self.states[i] = state
         self.actions[i] = action
         self.rewards[i] = reward
@@ -179,7 +198,7 @@ def select_action(net: QNetwork, state: np.ndarray, schedule: EpsilonSchedule,
         if explore:
             return int(rng.integers(0, net.output_dim))
     q = net.forward(state)
-    return int(np.argmax(q))
+    return int(q.argmax())
 
 
 def _loss_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,

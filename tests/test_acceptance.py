@@ -39,18 +39,14 @@ from accsim.harness import (
 )
 from accsim.metrics import SafetyTally, compute_ttc
 from accsim.rlcore import AdamState, BN_EPS, BN_MOMENTUM, QNetwork, train_step
-from accsim.scenario import (
-    ROUTE_THROUGH,
-    RoadGeometry,
-    RunConfig,
-    load_builtin,
-)
+from accsim.scenario import ROUTE_THROUGH, load_builtin
 from accsim.simcore import (
     EVENT_ACTUAL_COLLISION,
     EVENT_NEAR_COLLISION,
     Vehicle,
-    World,
 )
+
+from random_worlds import brute_force_pairs, logged_pairs, random_world
 
 
 def report(capsys, num, ok, detail):
@@ -307,39 +303,11 @@ def test_criterion_08_determinism_and_oracles(capsys, tmp_path):
     positives = 0
     collisions = 0
     for _ in range(10_000):
-        geometry = RoadGeometry(mainline_length=500.0,
-                                lane_count=rng.randint(1, 3),
-                                ramp_kind="none")
-        run = RunConfig(episode_duration=10.0, warmup_duration=0.0)
-        world = World(geometry, run, [], seed=rng.randint(0, 10 ** 6))
-        vid = 0
-        for lid in world.lane_ids:
-            xs = sorted(rng.uniform(0.0, 500.0)
-                        for _ in range(rng.randint(0, 12)))
-            for x in reversed(xs):
-                world.lanes[lid].append(Vehicle(
-                    vid, x, rng.uniform(0.0, 33.0), rng.uniform(4.0, 5.0),
-                    lid, 0.0, 1.0, 2.6, False, ROUTE_THROUGH, 0.0))
-                vid += 1
-        want_nc, want_ac = set(), set()
-        for lid in world.lane_ids:
-            lane = world.lanes[lid]
-            for follower in lane:
-                ahead = [w for w in lane if w.x > follower.x]
-                if not ahead:
-                    continue
-                leader = min(ahead, key=lambda w: w.x)
-                gap = leader.x - leader.length - follower.x
-                if gap < 0.0:
-                    want_ac.add((follower.id, leader.id))
-                elif gap < run.min_gap_for_near_collision \
-                        and follower.v > leader.v:
-                    want_nc.add((follower.id, leader.id))
+        world = random_world(rng)
+        want_nc, want_ac = brute_force_pairs(world)
         world._detect_events()
-        got_nc = {(e.subject, e.object) for e in world.events
-                  if e.kind == EVENT_NEAR_COLLISION}
-        got_ac = {(e.subject, e.object) for e in world.events
-                  if e.kind == EVENT_ACTUAL_COLLISION}
+        got_nc = logged_pairs(world, EVENT_NEAR_COLLISION)
+        got_ac = logged_pairs(world, EVENT_ACTUAL_COLLISION)
         mismatches += got_nc != want_nc or got_ac != want_ac
         positives += len(want_nc)
         collisions += len(want_ac)

@@ -3,10 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from accsim import agents
 from accsim.agents import (
     GAP_ACTION_COUNT,
+    HEADWAY_CAP,
     MEAN_TTC_CAP,
     STATE_DIM,
     TTC_ACTION_COUNT,
@@ -26,10 +29,9 @@ from accsim.agents import (
     run_episode,
     ttc_star_from_index,
 )
-from accsim.metrics import SafetyTally
-from accsim.scenario import load_builtin
+from accsim.metrics import SafetyTally, compute_ttc
+from accsim.scenario import RAMP_LANE, ROUTE_THROUGH, load_builtin, spawn_schedule
 from accsim.simcore import Vehicle, World
-from accsim.scenario import ROUTE_THROUGH
 
 W = RewardWeights()
 
@@ -195,6 +197,168 @@ def test_encode_caps_mean_ttc():
     world.lanes[0] = [leader, follower]
     s = encode_traffic_state(world, 4.0)
     assert s[12] == MEAN_TTC_CAP
+
+
+def reference_encode(world, ttc_star, mean_ttc_cap=MEAN_TTC_CAP):
+    """The plain per-vehicle encoder that the one-pass encoder replaced,
+    kept verbatim as a bitwise oracle."""
+    geometry = world.geometry
+    accel_sum = decel_sum = 0.0
+    headway_sum = 0.0
+    headway_n = 0
+    sigma_sum = gap_set_sum = length_sum = 0.0
+    n_total = 0
+    ml_count = 0
+    ml_speed_sum = 0.0
+    ramp_count = 0
+    ramp_speed_sum = 0.0
+    ttc_sum = 0.0
+    ttc_n = 0
+    for lid in world.lane_ids:
+        leader = None
+        for veh in world.lanes[lid]:
+            n_total += 1
+            if veh.a > 0.0:
+                accel_sum += veh.a
+            else:
+                decel_sum -= veh.a
+            sigma_sum += veh.sigma
+            length_sum += veh.length
+            if veh.equipped:
+                gap_set_sum += veh.gap_cmd
+            if lid == RAMP_LANE:
+                ramp_count += 1
+                ramp_speed_sum += veh.v
+            else:
+                ml_count += 1
+                ml_speed_sum += veh.v
+            if leader is not None:
+                gap = leader.x - leader.length - veh.x
+                if veh.v > 0.1:
+                    headway_sum += min(gap / veh.v, HEADWAY_CAP)
+                    headway_n += 1
+                ttc = compute_ttc(veh, leader)
+                if math.isfinite(ttc):
+                    ttc_sum += min(ttc, mean_ttc_cap)
+                    ttc_n += 1
+            leader = veh
+    ml_km = geometry.mainline_length / 1000.0
+    if world.ramp_start is not None:
+        ramp_km = max(world.ramp_end - world.ramp_start, 1.0) / 1000.0
+    else:
+        ramp_km = 1.0
+    return np.array([
+        accel_sum / n_total if n_total else 0.0,
+        decel_sum / n_total if n_total else 0.0,
+        headway_sum / headway_n if headway_n else 0.0,
+        sigma_sum / n_total if n_total else 0.0,
+        gap_set_sum / n_total if n_total else 0.0,
+        length_sum / n_total if n_total else 0.0,
+        ml_count / ml_km,
+        ml_speed_sum / ml_count if ml_count else 0.0,
+        ramp_count / ramp_km,
+        ramp_speed_sum / ramp_count if ramp_count else 0.0,
+        geometry.ramp_length if geometry.ramp_kind != "none" else 0.0,
+        ttc_star,
+        ttc_sum / ttc_n if ttc_n else mean_ttc_cap,
+    ])
+
+
+def assert_encodes_like_reference(world, ttc_star):
+    for cap in (MEAN_TTC_CAP, 2.0):
+        got = encode_traffic_state(world, ttc_star, cap)
+        want = reference_encode(world, ttc_star, cap)
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@pytest.mark.parametrize("name", ["straight", "desk", "onramp", "offramp"])
+def test_encode_bitwise_matches_reference_on_stepped_worlds(name):
+    sc = load_builtin(name)
+    rng = random.Random(17)
+    schedule = spawn_schedule(sc.demand, sc.geometry, sc.run.episode_duration,
+                              random.Random(4))
+    world = World(sc.geometry, sc.run, schedule, seed=4)
+    steps = min(2500, round(sc.run.episode_duration / sc.run.physics_timestep))
+    checked = 0
+    for step in range(1, steps + 1):
+        world.step()
+        if step % 25:
+            continue
+        for veh in world.vehicles():  # spread the commanded gaps
+            if veh.equipped:
+                veh.gap_cmd = rng.uniform(1.0, 25.0)
+        assert_encodes_like_reference(world, 0.5 * (step // 25 % 21))
+        checked += world.vehicle_count() > 1
+    assert checked >= steps // 25 - 2  # nearly every tick had a leader
+
+
+def lane_of(specs, lane=0):
+    """Vehicles from (x, v, a, length) tuples, front first."""
+    out = []
+    for i, (x, v, a, length) in enumerate(specs):
+        veh = Vehicle(100 * lane + i, x, v, length, lane, 0.1 * i, 1.0, 2.6,
+                      i % 2 == 0, ROUTE_THROUGH, 0.0)
+        veh.a = a
+        veh.gap_cmd = 3.0 + i
+        out.append(veh)
+    return out
+
+
+ENCODE_EDGE_CASES = {
+    "lone vehicle": {0: [(300.0, 20.0, 0.5, 4.5)]},
+    "empty lane between occupied lanes": {
+        0: [(300.0, 20.0, 0.5, 4.5), (250.0, 22.0, -1.0, 5.0)],
+        2: [(400.0, 30.0, 0.0, 4.0), (380.0, 29.0, 0.3, 4.0)]},
+    "slow followers": {0: [(300.0, 0.2, 0.0, 5.0), (280.0, 0.1, 0.0, 5.0),
+                           (260.0, 0.0, -0.5, 5.0), (240.0, 0.05, 0.1, 5.0)]},
+    "equal speeds": {0: [(300.0, 15.0, 0.0, 5.0), (280.0, 15.0, 0.0, 5.0),
+                         (200.0, 15.0, 0.2, 4.0)]},
+    "closing pair beyond the cap": {0: [(1000.0, 20.0, 0.0, 5.0),
+                                        (0.0, 20.01, 0.0, 5.0)]},
+    "overlapping closing pair": {0: [(100.0, 10.0, -3.0, 5.0),
+                                     (97.0, 12.0, 0.0, 5.0)]},
+    "ttc overflowing to inf": {0: [(1e300, 1.0, 0.0, 5.0),
+                                   (0.0, 1.0 + 2.0 ** -52, 0.0, 5.0),
+                                   (-10.0, 3.0, 0.0, 5.0)]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODE_EDGE_CASES))
+def test_encode_bitwise_matches_reference_on_edge_cases(case):
+    world, _ = empty_world("desk")
+    for lane, specs in ENCODE_EDGE_CASES[case].items():
+        world.lanes[lane] = lane_of(specs, lane)
+    assert_encodes_like_reference(world, 3.5)
+
+
+def test_encode_bitwise_matches_reference_with_ramp_traffic():
+    world, sc = empty_world("onramp")
+    world.lanes[0] = lane_of([(600.0, 25.0, 0.2, 5.0), (560.0, 27.0, 0.0, 4.0)])
+    world.lanes[RAMP_LANE] = lane_of(
+        [(world.ramp_end - 10.0, 12.0, 1.0, 5.0),
+         (world.ramp_end - 40.0, 14.0, -0.4, 4.5)], RAMP_LANE)
+    assert_encodes_like_reference(world, 6.0)
+
+
+def test_encode_calls_compute_ttc_only_for_closing_pairs(monkeypatch):
+    sc = load_builtin("onramp")
+    schedule = spawn_schedule(sc.demand, sc.geometry, sc.run.episode_duration,
+                              random.Random(2))
+    world = World(sc.geometry, sc.run, schedule, seed=2)
+    for _ in range(900):
+        world.step()
+    calls = []
+
+    def counting_ttc(follower, leader):
+        calls.append((follower.id, leader.id))
+        return compute_ttc(follower, leader)
+
+    monkeypatch.setattr(agents, "compute_ttc", counting_ttc)
+    encode_traffic_state(world, 4.0)
+    closing = [(veh.id, leader.id) for lid in world.lane_ids
+               for leader, veh in zip(world.lanes[lid], world.lanes[lid][1:])
+               if veh.v > leader.v]
+    assert calls == closing and closing
 
 
 # ---- episode loop -------------------------------------------------------

@@ -184,6 +184,21 @@ def test_summarize_means(small_sweep):
     assert base["nc_mean"] == pytest.approx(sum(ncs) / len(ncs))
 
 
+def test_sweep_progress_names_position_key_and_eta(monkeypatch):
+    monkeypatch.setenv("ACCSIM_WORKERS", "1")
+    sc = load_builtin("desk")
+    sweep = SweepSpec(parameter="penetration", values=(0.8,), episodes=2,
+                      base_seed=50, systems=(PolicySpec("base"),))
+    messages = []
+    run_sweep(sc, sweep, progress=messages.append)
+    assert len(messages) == 2  # one call per finished task
+    for k, (msg, seed) in enumerate(zip(messages, (50, 51)), 1):
+        prefix = f"[{k}/2] base 0.8 seed {seed}, eta "
+        assert msg.startswith(prefix) and msg.endswith("s")
+        assert float(msg[len(prefix):-1]) >= 0.0
+    assert messages[-1].endswith(", eta 0s")
+
+
 def test_ttc_star_fixed_sweep_labels():
     sc = load_builtin("desk")
     sweep = SweepSpec(parameter="ttc_star_fixed", values=(2.0, 4.0),

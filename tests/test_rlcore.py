@@ -71,6 +71,34 @@ def test_forward_batch_rows_match_single_rows():
                                    rtol=1e-12, atol=1e-15)
 
 
+def reference_forward(net, x):
+    """max((x-mu)/sqrt(var+eps) W1 + b1, 0) W2 + b2, in the expression order
+    the in-place forward pass must reproduce bit for bit."""
+    z = (x - net.running_mean) / np.sqrt(net.running_var + BN_EPS)
+    h = np.maximum(z @ net.W1 + net.b1, 0.0)
+    return h @ net.W2 + net.b2
+
+
+def test_forward_bitwise_matches_formula_single_and_batched():
+    rng = np.random.default_rng(21)
+    net = QNetwork(13, 25, 30, rng=rng)
+    net.b1[:] = rng.normal(0.0, 0.1, 30)
+    net.b2[:] = rng.normal(0.0, 0.1, 25)
+    net.update_norm_stats(rng.normal(3.0, 2.0, size=(64, 13)))
+    batch = rng.normal(3.0, 2.0, size=(64, 13))
+    np.testing.assert_array_equal(net.forward(batch),
+                                  reference_forward(net, batch))
+    for x in batch[:16]:
+        single = net.forward(x)
+        assert single.shape == (25,)
+        assert single.tobytes() == net.forward(x.reshape(1, -1))[0].tobytes()
+        assert single.tobytes() == \
+            reference_forward(net, x.reshape(1, -1))[0].tobytes()
+        x_before = x.copy()
+        net.forward(x)
+        np.testing.assert_array_equal(x, x_before)  # input left untouched
+
+
 def test_forward_dimension_mismatch_raises():
     net = make_net()
     with pytest.raises(ValueError):
@@ -244,13 +272,38 @@ def test_sync_target_makes_forward_equal():
 # ---- replay buffer -----------------------------------------------------
 
 
+def test_replay_rows_grow_with_use():
+    buf = ReplayBuffer(100_000, 13)
+    assert len(buf.states) == 0
+    state = np.zeros(13)
+    for n in range(1, 301):
+        buf.push(state, 0, 0.0, state, False)
+        for arr in (buf.states, buf.actions, buf.rewards, buf.next_states,
+                    buf.dones):
+            assert n <= len(arr) <= 2 * n
+
+
 def test_replay_ring_overwrites_oldest():
-    buf = ReplayBuffer(4, 1)
-    for i in range(6):
+    buf = ReplayBuffer(5, 1)
+    for i in range(7):
+        buf.push(np.array([float(i)]), i, float(i), np.array([-float(i)]),
+                 i % 2 == 0)
+    assert len(buf.states) == 5 and len(buf) == 5 and buf.pos == 2
+    assert buf.states[:, 0].tolist() == [5.0, 6.0, 2.0, 3.0, 4.0]
+    assert buf.actions.tolist() == [5, 6, 2, 3, 4]
+    assert buf.next_states[:, 0].tolist() == [-5.0, -6.0, -2.0, -3.0, -4.0]
+    assert buf.dones.tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
+
+
+def test_replay_sample_draws_uniform_indices_over_size():
+    buf = ReplayBuffer(1000, 1)
+    for i in range(37):
         buf.push(np.array([float(i)]), i, float(i), np.array([0.0]), False)
-    assert len(buf) == 4
-    stored = sorted(buf.states[: len(buf), 0].tolist())
-    assert stored == [2.0, 3.0, 4.0, 5.0]
+    states, actions, rewards, _, _ = buf.sample(64, np.random.default_rng(8))
+    idx = np.random.default_rng(8).integers(0, 37, size=64)
+    np.testing.assert_array_equal(states[:, 0], idx.astype(float))
+    np.testing.assert_array_equal(actions, idx)
+    np.testing.assert_array_equal(rewards, idx.astype(float))
 
 
 def test_replay_sampling_uniformity():

@@ -25,6 +25,8 @@ from accsim.simcore import (
     krauss_safe_speed,
 )
 
+from random_worlds import brute_force_pairs, logged_pairs, random_world
+
 DT = 0.1
 
 
@@ -261,49 +263,6 @@ def test_positions_stay_in_segment():
 
 
 # ---- event detector vs brute force --------------------------------------
-
-
-def brute_force_pairs(world):
-    """Independent all-pairs oracle: (near-collision, collision) pairs.
-
-    A bumper overlap (gap < 0) is a collision; 0 <= gap < min_gap with the
-    follower strictly faster is a near collision.
-    """
-    near, crash = set(), set()
-    min_gap = world.run.min_gap_for_near_collision
-    for lid in world.lane_ids:
-        lane = world.lanes[lid]
-        for follower in lane:
-            ahead = [w for w in lane if w.x > follower.x]
-            if not ahead:
-                continue
-            leader = min(ahead, key=lambda w: w.x)
-            gap = leader.x - leader.length - follower.x
-            if gap < 0.0:
-                crash.add((follower.id, leader.id))
-            elif gap < min_gap and follower.v > leader.v:
-                near.add((follower.id, leader.id))
-    return near, crash
-
-
-def logged_pairs(world, kind):
-    return {(e.subject, e.object) for e in world.events if e.kind == kind}
-
-
-def random_world(rng):
-    geometry = RoadGeometry(mainline_length=500.0, lane_count=rng.randint(1, 3),
-                            ramp_kind="none")
-    run = RunConfig(episode_duration=10.0, warmup_duration=0.0)
-    world = World(geometry, run, [], seed=rng.randint(0, 10 ** 6))
-    vid = 0
-    for lid in world.lane_ids:
-        xs = sorted(rng.uniform(0.0, 500.0) for _ in range(rng.randint(0, 12)))
-        for x in reversed(xs):  # front-first ordering
-            veh = make_vehicle(vid=vid, x=x, v=rng.uniform(0.0, 33.0),
-                               length=rng.uniform(4.0, 5.0), lane=lid)
-            world.lanes[lid].append(veh)
-            vid += 1
-    return world
 
 
 def test_nc_detector_matches_brute_force_oracle():
