@@ -1,15 +1,19 @@
 """Golden digests: pinned sha256 of episode outputs on fixed seeds.
 
 Each evaluation case hashes the full event log, the CSV row and the reprs of
-both episode rewards; the training case hashes the data rows of
+both episode rewards; the training cases hash the data rows of
 ``rewards.csv`` (its ``# config=`` comment lines are left out, so a change to
-an unused config field does not move the digest).  Any change to simulator,
+an unused config field does not move the digest).  Besides the main grid,
+the fixed-threshold gap agent, a second scripted threshold and alternating
+training of both trainable systems are pinned, so every control path of
+the episode loop is covered.  Any change to simulator,
 agent or metric behaviour shows up here.  To re-pin after a deliberate
 behaviour change, run ``PYTHONPATH=src python tests/test_golden.py`` and
 paste its output.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -25,8 +29,17 @@ SYSTEMS = {
 }
 EVAL_CASES = [(name, system, seed) for name in ("desk", "onramp")
               for system in SYSTEMS for seed in EVAL_SEEDS]
+EXTRA_SYSTEMS = {
+    "fixed4": PolicySpec("fixed-ttc", ttc_star=4.0),  # untrained, seed 0
+    "scripted2": PolicySpec("scripted", ttc_star=2.0),
+}
+EXTRA_EVAL_CASES = [(name, system, 5) for name in ("desk", "onramp")
+                    for system in EXTRA_SYSTEMS]
 TRAIN_EPISODES = 12
 TRAIN_SEED = 3
+# Alternating training with a small warm-up buffer, so both agents update.
+ALTERNATING_SYSTEMS = ("saint", "fixed-ttc")
+ALTERNATING_TRAIN_START = 200
 
 GOLDEN_EVAL = {
     ("desk", "base", 5):
@@ -55,6 +68,22 @@ GOLDEN_EVAL = {
         "d6da90f6b6ac03c6860fec1b8cdb29c66ee84374d5b5206794519ac3d08b2f7f",
 }
 GOLDEN_TRAIN = "2c426a6bf8401051ad05364f88de72a8e35e675e03fcd4b9115ff7f7e6094906"
+GOLDEN_EXTRA_EVAL = {
+    ("desk", "fixed4", 5):
+        "3043b73a09114af79d165768ec9ec9cbfbd4f483f22c4bb21ccf41ceeff21e8d",
+    ("desk", "scripted2", 5):
+        "b1e32a2776657e0b0768f544c7fda002e919c5c4857dc7b39d40389e8f226c61",
+    ("onramp", "fixed4", 5):
+        "2b9dd55afdc89a7908856b1ed76556e79fb50a03ec29c30f58d8ebd1e17c5a8d",
+    ("onramp", "scripted2", 5):
+        "86bbdfe7d7acd2ca8138560507b3a333e4ca0ccfccfd9d1ae7e8a36eeade2d48",
+}
+GOLDEN_ALTERNATING_TRAIN = {
+    "saint":
+        "472d56f9a55f42ff5c1f648b893b52388bb4e707d73c236205b5045280a702ef",
+    "fixed-ttc":
+        "e0909c5bd5be266f49ddf95d3d276b863086925dccfde210088ce855af930842",
+}
 
 
 def eval_digest(scenario_name: str, system: str, seed: int) -> str:
@@ -65,7 +94,8 @@ def eval_digest(scenario_name: str, system: str, seed: int) -> str:
         if not worlds:
             worlds.append(world)
 
-    res = run_episode(sc, SYSTEMS[system].build(sc), mode="eval", seed=seed,
+    spec = SYSTEMS.get(system) or EXTRA_SYSTEMS[system]
+    res = run_episode(sc, spec.build(sc), mode="eval", seed=seed,
                       trajectory_sink=keep_world)
     h = hashlib.sha256()
     for event in worlds[0].events:
@@ -75,9 +105,15 @@ def eval_digest(scenario_name: str, system: str, seed: int) -> str:
     return h.hexdigest()
 
 
-def train_digest(out_dir) -> str:
-    train(load_builtin("desk"), system="saint", episodes=TRAIN_EPISODES,
-          seed=TRAIN_SEED, out_dir=out_dir, checkpoint_every=TRAIN_EPISODES)
+def train_digest(out_dir, system: str = "saint",
+                 alternating: bool = False) -> str:
+    sc = load_builtin("desk")
+    if alternating:
+        sc = sc.replace(agents=replace(
+            sc.agents, training_schedule="alternating",
+            train_start_buffer=ALTERNATING_TRAIN_START))
+    train(sc, system=system, episodes=TRAIN_EPISODES, seed=TRAIN_SEED,
+          out_dir=out_dir, checkpoint_every=TRAIN_EPISODES)
     lines = (out_dir / "rewards.csv").read_text().splitlines()
     data = "\n".join(ln for ln in lines if not ln.startswith("#"))
     return hashlib.sha256(data.encode()).hexdigest()
@@ -93,6 +129,18 @@ def test_train_digest(tmp_path):
     assert train_digest(tmp_path) == GOLDEN_TRAIN
 
 
+@pytest.mark.parametrize("case", EXTRA_EVAL_CASES,
+                         ids=lambda case: "-".join(map(str, case)))
+def test_extra_eval_digest(case):
+    assert eval_digest(*case) == GOLDEN_EXTRA_EVAL[case]
+
+
+@pytest.mark.parametrize("system", ALTERNATING_SYSTEMS)
+def test_alternating_train_digest(tmp_path, system):
+    assert (train_digest(tmp_path, system, alternating=True)
+            == GOLDEN_ALTERNATING_TRAIN[system])
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -103,3 +151,13 @@ if __name__ == "__main__":
     print("}")
     with tempfile.TemporaryDirectory() as tmp:
         print(f"GOLDEN_TRAIN = {train_digest(Path(tmp))!r}")
+    print("GOLDEN_EXTRA_EVAL = {")
+    for case in EXTRA_EVAL_CASES:
+        print(f"    {case!r}:\n        {eval_digest(*case)!r},")
+    print("}")
+    print("GOLDEN_ALTERNATING_TRAIN = {")
+    for system in ALTERNATING_SYSTEMS:
+        with tempfile.TemporaryDirectory() as tmp:
+            digest = train_digest(Path(tmp), system, alternating=True)
+        print(f"    {system!r}:\n        {digest!r},")
+    print("}")
