@@ -301,11 +301,17 @@ class DqnAgent:
 
 
 class ControlPolicy:
-    """Protocol for what drives equipped vehicles during an episode."""
+    """Protocol for what drives equipped vehicles during an episode.
+
+    `acc_agent` and `ttc_agent` are the gap and threshold learners, or
+    None; `run_episode` trains whichever of them are present.
+    """
 
     controls_gap = False
     adapts_ttc = False
     initial_ttc_star = 4.0
+    acc_agent: DqnAgent | None = None
+    ttc_agent: DqnAgent | None = None
 
     def begin_episode(self) -> None:
         pass
@@ -315,21 +321,6 @@ class ControlPolicy:
 
     def ttc_action(self, state: np.ndarray, train: bool) -> tuple[int, float]:
         raise NotImplementedError
-
-    def observe_gap(self, state, action, reward, next_state, done) -> None:
-        pass
-
-    def observe_ttc(self, state, action, reward, next_state, done) -> None:
-        pass
-
-    def train_gap_tick(self) -> None:
-        pass
-
-    def train_ttc_tick(self) -> None:
-        pass
-
-    def end_episode(self, train: bool) -> None:
-        pass
 
 
 class NoAccPolicy(ControlPolicy):
@@ -351,32 +342,12 @@ class ScriptedGapPolicy(ControlPolicy):
         return self._action, gap_from_index(self._action)
 
 
-class FixedTtcPolicy(ControlPolicy):
-    """Gap agent trained/evaluated against a pinned danger threshold."""
-
-    controls_gap = True
-
-    def __init__(self, acc_agent: DqnAgent, ttc_star: float = 4.0):
-        self.acc_agent = acc_agent
-        self.initial_ttc_star = ttc_star
-
-    def gap_action(self, state, train):
-        a = self.acc_agent.act(state, greedy=not train)
-        return a, gap_from_index(a)
-
-    def observe_gap(self, state, action, reward, next_state, done):
-        self.acc_agent.store(state, action, reward, next_state, done)
-
-    def train_gap_tick(self):
-        self.acc_agent.train()
-
-    def end_episode(self, train):
-        if train:
-            self.acc_agent.end_episode()
-
-
 class AdaptivePolicy(ControlPolicy):
-    """The full dual-agent stack: threshold agent feeding the gap agent.
+    """The gap agent, fed by the threshold agent when there is one.
+
+    With a `ttc_agent` this is the full dual-agent stack; without one the
+    danger threshold stays pinned at `initial_ttc_star` (the fixed-threshold
+    ablation, and the gap phase of alternating training).
 
     At deployment (eval mode) the broadcast threshold is low-pass
     filtered: abrupt t* jumps move the equipped fleet's standoff target,
@@ -387,14 +358,14 @@ class AdaptivePolicy(ControlPolicy):
     """
 
     controls_gap = True
-    adapts_ttc = True
 
     BROADCAST_ALPHA = 0.2
 
-    def __init__(self, ttc_agent: DqnAgent, acc_agent: DqnAgent,
+    def __init__(self, acc_agent: DqnAgent, ttc_agent: DqnAgent | None = None,
                  initial_ttc_star: float = 4.0):
-        self.ttc_agent = ttc_agent
         self.acc_agent = acc_agent
+        self.ttc_agent = ttc_agent
+        self.adapts_ttc = ttc_agent is not None
         self.initial_ttc_star = initial_ttc_star
         self._ttc_filtered: float | None = None
 
@@ -417,22 +388,12 @@ class AdaptivePolicy(ControlPolicy):
                 chosen - self._ttc_filtered)
         return a, self._ttc_filtered
 
-    def observe_gap(self, state, action, reward, next_state, done):
-        self.acc_agent.store(state, action, reward, next_state, done)
 
-    def observe_ttc(self, state, action, reward, next_state, done):
-        self.ttc_agent.store(state, action, reward, next_state, done)
-
-    def train_gap_tick(self):
-        self.acc_agent.train()
-
-    def train_ttc_tick(self):
-        self.ttc_agent.train()
-
-    def end_episode(self, train):
-        if train:
-            self.acc_agent.end_episode()
-            self.ttc_agent.end_episode()
+def _make_acc_agent(scenario: Scenario, seed: int) -> DqnAgent:
+    cfg = scenario.agents
+    return DqnAgent(STATE_DIM, GAP_ACTION_COUNT, seed=seed * 2 + 2,
+                    lambda_decay=cfg.acc_lambda_decay,
+                    train_start=cfg.train_start_buffer)
 
 
 def make_adaptive_policy(scenario: Scenario, seed: int = 0) -> AdaptivePolicy:
@@ -446,19 +407,14 @@ def make_adaptive_policy(scenario: Scenario, seed: int = 0) -> AdaptivePolicy:
                          hidden_dim=4, learning_rate=1e-3, gamma=0.0,
                          lambda_decay=cfg.ttc_lambda_decay,
                          train_start=max(64, cfg.train_start_buffer // 10))
-    acc_agent = DqnAgent(STATE_DIM, GAP_ACTION_COUNT, seed=seed * 2 + 2,
-                         lambda_decay=cfg.acc_lambda_decay,
-                         train_start=cfg.train_start_buffer)
-    return AdaptivePolicy(ttc_agent, acc_agent)
+    return AdaptivePolicy(_make_acc_agent(scenario, seed), ttc_agent)
 
 
 def make_fixed_ttc_policy(scenario: Scenario, seed: int = 0,
-                          ttc_star: float = 4.0) -> FixedTtcPolicy:
-    cfg = scenario.agents
-    acc_agent = DqnAgent(STATE_DIM, GAP_ACTION_COUNT, seed=seed * 2 + 2,
-                         lambda_decay=cfg.acc_lambda_decay,
-                         train_start=cfg.train_start_buffer)
-    return FixedTtcPolicy(acc_agent, ttc_star)
+                          ttc_star: float = 4.0) -> AdaptivePolicy:
+    """The gap agent alone, against a danger threshold pinned at `ttc_star`."""
+    return AdaptivePolicy(_make_acc_agent(scenario, seed),
+                          initial_ttc_star=ttc_star)
 
 
 # ---- episode loop ------------------------------------------------------
@@ -514,13 +470,18 @@ def _broadcast_ttc(world: World, ttc_star: float) -> None:
 def run_episode(scenario: Scenario, policy: ControlPolicy, *,
                 mode: str = "eval", seed: int = 0,
                 trajectory_sink=None, measure_latency: bool = False,
-                train_ttc: bool = True, train_acc: bool = True) -> EpisodeResult:
+                train_acc: bool = True) -> EpisodeResult:
     """Simulate one episode under `policy`.
 
-    In ``train`` mode the policy's agents pick epsilon-greedy actions, store
-    transitions and run their update steps; in ``eval`` mode actions are
-    greedy and no weights change.  `train_ttc` / `train_acc` gate the two
-    agents separately (alternating-phase training).
+    Every control decision, the first included, runs through one path:
+    encode the state, let each present agent learn from the reward of its
+    last action, then act and broadcast.  The first decision has nothing to
+    learn from; the last one does not act.  In ``train`` mode actions are
+    epsilon-greedy and the policy's `acc_agent` and `ttc_agent`, where
+    present, learn and end the episode; in ``eval`` mode actions are greedy
+    and no weights change.  With `train_acc` False the gap agent still acts
+    and ends the episode but learns nothing (the threshold phase of
+    alternating training).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -547,24 +508,41 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
 
     policy.begin_episode()
     ttc_star = policy.initial_ttc_star
+    world.default_danger_ttc = ttc_star
+    acc_learner = policy.acc_agent if train and train_acc else None
+    ttc_learner = policy.ttc_agent if train else None
     latencies: list[float] = []
-
-    # A decision runs from the state encoding to the last broadcast; its
-    # latency is recorded when the policy drives equipped vehicles.
-    t0 = _time.perf_counter()
-    state = encode_traffic_state(world, ttc_star)
-    pending_gap = None
+    pending_gap = None  # (state, action) awaiting its reward
     pending_ttc = None
-    if policy.controls_gap:
-        action, gap = policy.gap_action(state, train)
-        _broadcast_gap(world, gap)
-        pending_gap = (state, action)
-    if policy.adapts_ttc:
-        action, ttc_star = policy.ttc_action(state, train)
-        pending_ttc = (state, action)
-    _broadcast_ttc(world, ttc_star)
-    if measure_latency and policy.controls_gap:
-        latencies.append((_time.perf_counter() - t0) * 1e3)
+
+    def decide(ttc_tick: bool, is_last: bool, r_acc: float,
+               r_ttc: float) -> None:
+        """One timed decision; in train mode it includes the updates."""
+        nonlocal ttc_star, pending_gap, pending_ttc
+        t0 = _time.perf_counter()
+        state = encode_traffic_state(world, ttc_star)
+        if policy.controls_gap:
+            if acc_learner is not None and pending_gap is not None:
+                acc_learner.store(*pending_gap, r_acc, state, is_last)
+                acc_learner.train()
+            if not is_last:
+                action, gap = policy.gap_action(state, train)
+                _broadcast_gap(world, gap)
+                pending_gap = (state, action)
+        if ttc_tick and policy.adapts_ttc:
+            if ttc_learner is not None and pending_ttc is not None:
+                ttc_learner.store(*pending_ttc, r_ttc, state, is_last)
+                ttc_learner.train()
+            if not is_last:
+                action, ttc_star = policy.ttc_action(state, train)
+                pending_ttc = (state, action)
+                _broadcast_ttc(world, ttc_star)
+        if measure_latency and not is_last:
+            latencies.append((_time.perf_counter() - t0) * 1e3)
+
+    decides = policy.controls_gap or policy.adapts_ttc  # base: no decision
+    if decides:
+        decide(True, False, 0.0, 0.0)
 
     window_samples: list[tuple[int, float]] = []
     window_event_start = len(world.events)
@@ -575,6 +553,7 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
     jerk_samples = 0
     ttc_reward_sum = 0.0
     acc_reward_sum = 0.0
+    r_ttc = 0.0
     ctrl_ticks = 0
 
     for step in range(n_steps):
@@ -614,6 +593,8 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
         rms_jerk = math.sqrt(equipped_jerk_sq / equipped_n) if equipped_n else 0.0
         r_c = reward_acc_comfort(rms_jerk, max_jerk)
         r_acc = reward_acc_total(r_e, r_s, r_c, weights)
+        if policy.controls_gap:
+            acc_reward_sum += r_acc
 
         ttc_tick = ctrl_ticks % ttc_every == 0 or is_last
         if ttc_tick:
@@ -627,33 +608,13 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
             window_samples = []
             window_event_start = len(world.events)
 
-        # In train mode the agents' updates run inside the timed decision.
-        t0 = _time.perf_counter()
-        state_next = encode_traffic_state(world, ttc_star)
-        if policy.controls_gap:
-            acc_reward_sum += r_acc
-            if train and train_acc:
-                policy.observe_gap(pending_gap[0], pending_gap[1], r_acc,
-                                   state_next, is_last)
-                policy.train_gap_tick()
-            if not is_last:
-                action, gap = policy.gap_action(state_next, train)
-                _broadcast_gap(world, gap)
-                pending_gap = (state_next, action)
-        if ttc_tick and policy.adapts_ttc:
-            if train and train_ttc:
-                policy.observe_ttc(pending_ttc[0], pending_ttc[1], r_ttc,
-                                   state_next, is_last)
-                policy.train_ttc_tick()
-            if not is_last:
-                action, ttc_star = policy.ttc_action(state_next, train)
-                pending_ttc = (state_next, action)
-                _broadcast_ttc(world, ttc_star)
-        if measure_latency and policy.controls_gap and not is_last:
-            latencies.append((_time.perf_counter() - t0) * 1e3)
+        if decides:
+            decide(ttc_tick, is_last, r_acc, r_ttc)
 
     if train:
-        policy.end_episode(True)
+        for agent in (policy.acc_agent, policy.ttc_agent):
+            if agent is not None:
+                agent.end_episode()
 
     nc = sum(1 for e in world.events
              if e.kind == EVENT_NEAR_COLLISION and e.time >= warmup)

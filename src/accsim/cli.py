@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .agents import NoAccPolicy, ScriptedGapPolicy
 from .harness import (
     HarnessError,
     PolicySpec,
@@ -131,10 +130,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_latency(args) -> int:
     scenario = _load(args.config)
-    spec = _policy_spec(args.system, args)
-    policy = spec.build(scenario)
-    if isinstance(policy, NoAccPolicy):
-        raise HarnessError("latency probe needs a deciding system, not base")
+    policy = _policy_spec(args.system, args).build(scenario)
     latencies = harness.measure_latency(scenario, policy,
                                         min_decisions=args.min_decisions,
                                         base_seed=args.seed)
@@ -158,10 +154,7 @@ def cmd_latency(args) -> int:
 
 def cmd_spacetime(args) -> int:
     scenario = _load(args.config)
-    if args.system == "scripted":
-        policy = ScriptedGapPolicy(args.fixed_ttc_star)
-    else:
-        policy = _policy_spec(args.system, args).build(scenario)
+    policy = _policy_spec(args.system, args).build(scenario)
     rows = harness.capture_spacetime(scenario, policy, seed=args.seed,
                                      out_path=args.out)
     print(f"wrote {len(rows)} trajectory rows to {args.out}")

@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .agents import (
+    AdaptivePolicy,
     ControlPolicy,
     EpisodeResult,
-    FixedTtcPolicy,
     NoAccPolicy,
     ScriptedGapPolicy,
     make_adaptive_policy,
@@ -42,8 +42,6 @@ SWEEP_PARAMETERS = (
     "exit_flow",
     "update_interval",
 )
-
-SYSTEM_NAMES = ("saint", "fixed-ttc", "base")
 
 # Danger-threshold pins cycled through the gap-agent phases of
 # alternating training (domain randomization over the threshold).
@@ -88,17 +86,15 @@ class PolicySpec:
             return ScriptedGapPolicy(self.ttc_star)
         if self.kind == "fixed-ttc":
             policy = make_fixed_ttc_policy(scenario, ttc_star=self.ttc_star)
-            if self.acc_checkpoint:
-                policy.acc_agent.restore(self.acc_checkpoint)
-            return policy
-        if self.kind == "saint":
+        elif self.kind == "saint":
             policy = make_adaptive_policy(scenario)
-            if self.ttc_checkpoint:
-                policy.ttc_agent.restore(self.ttc_checkpoint)
-            if self.acc_checkpoint:
-                policy.acc_agent.restore(self.acc_checkpoint)
-            return policy
-        raise HarnessError(f"unknown policy kind {self.kind!r}")
+        else:
+            raise HarnessError(f"unknown policy kind {self.kind!r}")
+        for agent, path in ((policy.acc_agent, self.acc_checkpoint),
+                            (policy.ttc_agent, self.ttc_checkpoint)):
+            if agent is not None and path:
+                agent.restore(path)
+        return policy
 
 
 def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scenario:
@@ -167,6 +163,7 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
               progress: Optional[Callable[[str], None]] = None) -> list[SweepRow]:
     """Evaluate every (system, value, seed) combination with paired seeds."""
     tasks = []
+    keys = set()
     for spec in sweep.systems:
         label = _system_label(spec)
         for value in sweep.values:
@@ -179,6 +176,10 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
                 label_v = label
             for seed in sweep.seeds():
                 key = (label_v, float(value), seed)
+                if key in keys:  # its rows would collapse into one
+                    raise HarnessError(
+                        f"two systems share the sweep label {label_v!r}")
+                keys.add(key)
                 tasks.append((key, point_scenario, point_spec, seed))
     outputs = {}
     start = time.perf_counter()
@@ -404,18 +405,18 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
     else:
         raise HarnessError(f"system {system!r} is not trainable")
     out = Path(out_dir) if out_dir is not None else None
-    ckpt_paths = {}
+    checkpoints = []  # (agent, path) for each agent the policy has
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        ckpt_paths["acc"] = out / "acc_agent.ckpt"
-        if system == "saint":
-            ckpt_paths["ttc"] = out / "ttc_agent.ckpt"
+        checkpoints = [(agent, out / f"{name}_agent.ckpt") for name, agent in
+                       (("acc", policy.acc_agent), ("ttc", policy.ttc_agent))
+                       if agent is not None]
     rewards_path = out / "rewards.csv" if out is not None else None
     start_ep = 0
-    if resume and out is not None and ckpt_paths["acc"].exists():
-        policy.acc_agent.restore(ckpt_paths["acc"])
-        if system == "saint" and ckpt_paths["ttc"].exists():
-            policy.ttc_agent.restore(ckpt_paths["ttc"])
+    if resume and out is not None and (out / "acc_agent.ckpt").exists():
+        for agent, path in checkpoints:
+            if path.exists():
+                agent.restore(path)
         if rewards_path.exists():
             with open(rewards_path) as fh:
                 lines = [ln for ln in fh
@@ -423,7 +424,8 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
             start_ep = max(0, len(lines) - 1)  # minus the header row
 
     schedule = scenario.agents.training_schedule
-    alternating = schedule == "alternating" and system == "saint"
+    alternating = (schedule == "alternating"
+                   and policy.ttc_agent is not None)
     result = TrainResult(policy)
     reward_rows = []
     for offset in range(episodes):
@@ -438,11 +440,11 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
                 # against the frozen gap agent.  Each agent then learns in
                 # a quasi-stationary environment.
                 pin = ALTERNATING_TTC_PINS[(ep // 2) % len(ALTERNATING_TTC_PINS)]
-                pinned = FixedTtcPolicy(policy.acc_agent, pin)
+                pinned = AdaptivePolicy(policy.acc_agent, initial_ttc_star=pin)
                 res = run_episode(scenario, pinned, mode="train", seed=ep_seed)
             elif alternating:
                 res = run_episode(scenario, policy, mode="train", seed=ep_seed,
-                                  train_ttc=True, train_acc=False)
+                                  train_acc=False)
             else:
                 res = run_episode(scenario, policy, mode="train", seed=ep_seed)
         except MetricsError:
@@ -462,9 +464,8 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
                      f"acc_reward={res.acc_reward:.1f}")
         if out is not None and ((offset + 1) % checkpoint_every == 0
                                 or offset == episodes - 1):
-            policy.acc_agent.save(ckpt_paths["acc"])
-            if system == "saint":
-                policy.ttc_agent.save(ckpt_paths["ttc"])
+            for agent, path in checkpoints:
+                agent.save(path)
     if out is not None:
         if start_ep > 0:
             # resumed run: append rows, keep the existing header

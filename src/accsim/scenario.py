@@ -83,7 +83,6 @@ class DemandSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 1
     episode_duration: float = 420.0
     physics_timestep: float = 0.1
     control_interval: float = 1.0
@@ -190,7 +189,7 @@ _SECTIONS = {
     "agents": AgentConfig,
 }
 
-_INT_KEYS = {"lane_count", "seed", "train_start_buffer"}
+_INT_KEYS = {"lane_count", "train_start_buffer"}
 _STR_KEYS = {"ramp_kind", "arrival_process", "training_schedule"}
 
 

@@ -501,14 +501,13 @@ class World:
 
     # ---- main entry ----------------------------------------------------
 
-    def step(self, dt: Optional[float] = None) -> None:
+    def step(self) -> None:
         """Advance the world by one physics step.
 
         Time is incremented first so events, trajectory rows, and post-step
         observations all carry the same timestamp.
         """
-        if dt is None:
-            dt = self.run.physics_timestep
+        dt = self.run.physics_timestep
         self.time += dt
         self.step_index += 1
         self._process_spawns()

@@ -2,7 +2,10 @@
 
 import pytest
 
+from accsim.agents import ScriptedGapPolicy
 from accsim.cli import EXIT_CONFIG, EXIT_USAGE, main
+from accsim.harness import capture_spacetime
+from accsim.scenario import load_builtin
 
 
 def test_usage_error_without_subcommand(capsys):
@@ -36,6 +39,17 @@ def test_spacetime_success(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "trajectory rows" in capsys.readouterr().out
+
+
+def test_spacetime_scripted_matches_capture(tmp_path, capsys):
+    out = tmp_path / "cli.csv"
+    code = main(["spacetime", "--config", "desk", "--system", "scripted",
+                 "--fixed-ttc-star", "2", "--seed", "3", "--out", str(out)])
+    assert code == 0
+    ref = tmp_path / "ref.csv"
+    capture_spacetime(load_builtin("desk"), ScriptedGapPolicy(2.0), seed=3,
+                      out_path=ref)
+    assert out.read_text() == ref.read_text()
 
 
 def test_train_and_sweep_roundtrip(tmp_path, capsys):

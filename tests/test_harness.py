@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from accsim import agents
+from accsim import agents, harness
 from accsim.harness import (
     HarnessError,
     PolicySpec,
@@ -28,7 +28,6 @@ from accsim.harness import (
 )
 from accsim.agents import (
     AdaptivePolicy,
-    FixedTtcPolicy,
     NoAccPolicy,
     ScriptedGapPolicy,
 )
@@ -83,7 +82,8 @@ def test_policy_spec_build_kinds():
     assert isinstance(PolicySpec("base").build(sc), NoAccPolicy)
     assert isinstance(PolicySpec("scripted").build(sc), ScriptedGapPolicy)
     fixed = PolicySpec("fixed-ttc", ttc_star=6.0).build(sc)
-    assert isinstance(fixed, FixedTtcPolicy) and fixed.initial_ttc_star == 6.0
+    assert isinstance(fixed, AdaptivePolicy) and fixed.initial_ttc_star == 6.0
+    assert fixed.ttc_agent is None and not fixed.adapts_ttc
     assert isinstance(PolicySpec("saint").build(sc), AdaptivePolicy)
     with pytest.raises(HarnessError):
         PolicySpec("magic").build(sc)
@@ -209,6 +209,21 @@ def test_ttc_star_fixed_sweep_labels():
         ["scripted-ttc2", "scripted-ttc4"]
 
 
+def test_sweep_rejects_repeated_label_before_any_episode(monkeypatch):
+    # rows are keyed by (label, value, seed): two "saint" specs would
+    # collapse into one row
+    monkeypatch.setenv("ACCSIM_WORKERS", "1")
+    tasks = []
+    monkeypatch.setattr(harness, "_run_task", tasks.append)
+    sweep = SweepSpec(parameter="penetration", values=(0.8,), episodes=1,
+                      base_seed=50,
+                      systems=(PolicySpec("saint"),
+                               PolicySpec("saint", ttc_star=2.0)))
+    with pytest.raises(HarnessError, match="'saint'"):
+        run_sweep(load_builtin("desk"), sweep)
+    assert tasks == []
+
+
 # ---- training persistence ----------------------------------------------
 
 
@@ -233,6 +248,20 @@ def test_train_writes_and_resumes_rewards(tmp_path):
     assert episodes == [0, 1, 2, 3, 4]  # resumed numbering continues
     seeds = [int(ln.split(",")[1]) for ln in lines[1:]]
     assert seeds == [4 * 10_000 + e for e in episodes]
+
+
+def test_train_calls_harness_run_episode_once_per_episode(monkeypatch):
+    # the desk-train benchmark times its ops on these calls
+    seeds = []
+    run_episode = harness.run_episode
+
+    def counted(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", counted)
+    train(load_builtin("desk"), system="saint", episodes=3, seed=2)
+    assert seeds == [20_000, 20_001, 20_002]
 
 
 def test_train_rejects_untrainable_system():

@@ -76,6 +76,14 @@ def test_unknown_key_rejected(tmp_path):
         load_scenario(write(tmp_path, bad))
 
 
+def test_run_seed_key_rejected(tmp_path):
+    # nothing read run.seed; episode seeds come from the harness
+    bad = GOOD_CFG.replace("[run]\n", "[run]\nseed = 1\n")
+    assert bad != GOOD_CFG
+    with pytest.raises(ScenarioError, match="seed"):
+        load_scenario(write(tmp_path, bad))
+
+
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="weather"):
         load_scenario(write(tmp_path, GOOD_CFG + "\n[weather]\nrain = 1\n"))
