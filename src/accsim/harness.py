@@ -59,12 +59,27 @@ def config_hash(scenario: Scenario) -> str:
 
 
 def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
+    """Worker processes for sweeps and `train_many`: `ACCSIM_WORKERS` if
+    set, else the cores this process may run on."""
+    raw = os.environ.get(WORKERS_ENV)
+    if raw is None:
+        return len(os.sched_getaffinity(0))
     try:
         n = int(raw)
     except ValueError as exc:
         raise HarnessError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
     return max(1, n)
+
+
+def _pool_imap(fn, tasks: list):
+    """Yield ``fn(task)`` for every task, in completion order, over a
+    process pool of at most `worker_count()` workers (none for one)."""
+    workers = min(worker_count(), len(tasks))
+    if workers > 1:
+        with get_context("spawn").Pool(workers) as pool:
+            yield from pool.imap_unordered(fn, tasks)
+    else:
+        yield from map(fn, tasks)
 
 
 # ---- policy specifications (picklable across worker processes) ---------
@@ -190,19 +205,9 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
             progress(f"[{done}/{len(tasks)}] {key[0]} {key[1]:g} "
                      f"seed {key[2]}, eta {eta:.0f}s")
 
-    workers = worker_count()
-    if workers > 1:
-        ctx = get_context("spawn")
-        with ctx.Pool(workers) as pool:
-            for done, (key, result) in enumerate(
-                    pool.imap_unordered(_run_task, tasks), 1):
-                outputs[key] = result
-                finished(done, key)
-    else:
-        for done, task in enumerate(tasks, 1):
-            key, result = _run_task(task)
-            outputs[key] = result
-            finished(done, key)
+    for done, (key, result) in enumerate(_pool_imap(_run_task, tasks), 1):
+        outputs[key] = result
+        finished(done, key)
     rows = []
     for key in sorted(outputs):  # deterministic merge order
         label_v, value, seed = key
@@ -482,6 +487,27 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
                         "near_collisions", "mean_speed", "final_ttc_star"),
                        reward_rows)
     return result
+
+
+def _train_task(task) -> tuple:
+    """Worker entry: one training run of `train_many`."""
+    index, scenario, seed, kwargs = task
+    return index, train(scenario, seed=seed, **kwargs)
+
+
+def train_many(scenario: Scenario, seeds: Sequence[int], *,
+               system: str = "saint", episodes: int = 300,
+               fixed_ttc_star: float = 4.0) -> list[TrainResult]:
+    """`train` once per seed, in memory, over the worker pool.
+
+    The runs share nothing, so each result equals that of ``train(scenario,
+    seed=s, ...)``; results come back in the order of `seeds`.
+    """
+    kwargs = dict(system=system, episodes=episodes,
+                  fixed_ttc_star=fixed_ttc_star)
+    tasks = [(i, scenario, seed, kwargs) for i, seed in enumerate(seeds)]
+    results = dict(_pool_imap(_train_task, tasks))
+    return [results[i] for i in range(len(tasks))]
 
 
 # ---- latency and space-time capture ------------------------------------

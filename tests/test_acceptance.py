@@ -35,6 +35,7 @@ from accsim.harness import (
     spearman,
     summarize,
     train,
+    train_many,
     write_sweep_csv,
 )
 from accsim.metrics import SafetyTally, compute_ttc
@@ -222,8 +223,7 @@ def test_criterion_05_training_convergence(capsys):
     sc = load_builtin("desk")
     ok_ttc = ok_acc = 0
     finite = True
-    for seed in range(10):
-        r = train(sc, system="saint", episodes=300, seed=seed)
+    for r in train_many(sc, range(10), system="saint", episodes=300):
         ttc, acc = r.ttc_rewards, r.acc_rewards
         finite &= all(math.isfinite(v) for v in ttc + acc)
         ok_ttc += statistics.fmean(ttc[-20:]) > statistics.fmean(ttc[:20])

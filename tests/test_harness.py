@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import random
 import time
 from dataclasses import replace
@@ -22,6 +23,7 @@ from accsim.harness import (
     spearman,
     summarize,
     train,
+    train_many,
     worker_count,
     write_summary_csv,
     write_sweep_csv,
@@ -50,7 +52,7 @@ def test_config_hash_stable_and_sensitive():
 
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("ACCSIM_WORKERS", raising=False)
-    assert worker_count() == 1
+    assert worker_count() == len(os.sched_getaffinity(0))
     monkeypatch.setenv("ACCSIM_WORKERS", "4")
     assert worker_count() == 4
     monkeypatch.setenv("ACCSIM_WORKERS", "0")
@@ -248,6 +250,27 @@ def test_train_writes_and_resumes_rewards(tmp_path):
     assert episodes == [0, 1, 2, 3, 4]  # resumed numbering continues
     seeds = [int(ln.split(",")[1]) for ln in lines[1:]]
     assert seeds == [4 * 10_000 + e for e in episodes]
+
+
+def test_train_many_matches_serial_train_in_seed_order(monkeypatch):
+    monkeypatch.setenv("ACCSIM_WORKERS", "2")
+    sc = load_builtin("desk")
+    pooled = train_many(sc, [3, 1], system="fixed-ttc", episodes=2)
+    for seed, got in zip((3, 1), pooled):
+        want = train(sc, system="fixed-ttc", episodes=2, seed=seed)
+        assert (got.ttc_rewards, got.acc_rewards) == \
+            (want.ttc_rewards, want.acc_rewards)
+        assert [e.metrics for e in got.episodes] == \
+            [e.metrics for e in want.episodes]
+
+
+def test_sweep_rows_equal_with_one_and_two_workers(monkeypatch, small_sweep):
+    sc, sweep, rows = small_sweep
+    for n in ("1", "2"):
+        monkeypatch.setenv("ACCSIM_WORKERS", n)
+        again = run_sweep(sc, sweep)
+        assert [(r.system, r.value, r.result.metrics) for r in again] == \
+            [(r.system, r.value, r.result.metrics) for r in rows]
 
 
 def test_train_calls_harness_run_episode_once_per_episode(monkeypatch):
