@@ -6,10 +6,11 @@ both episode rewards; the training cases hash the data rows of
 an unused config field does not move the digest).  Besides the main grid,
 the fixed-threshold gap agent, a second scripted threshold and alternating
 training of both trainable systems are pinned, so every control path of
-the episode loop is covered.  Any change to simulator,
-agent or metric behaviour shows up here.  To re-pin after a deliberate
-behaviour change, run ``PYTHONPATH=src python tests/test_golden.py`` and
-paste its output.
+the episode loop is covered; ``offramp`` and ``straight`` episodes are
+pinned too, so every despawn and lane-change path of the simulator is.
+Any change to simulator, agent or metric behaviour shows up here.  To
+re-pin after a deliberate behaviour change, run
+``PYTHONPATH=src python tests/test_golden.py`` and paste its output.
 """
 
 import hashlib
@@ -35,6 +36,12 @@ EXTRA_SYSTEMS = {
 }
 EXTRA_EVAL_CASES = [(name, system, 5) for name in ("desk", "onramp")
                     for system in EXTRA_SYSTEMS]
+# Only offramp runs the exit-lane despawn and the exiters' lane changes;
+# straight has no ramp lane and no junction.
+SCENARIO_EVAL_CASES = ([("offramp", system, 5)
+                        for system in ("base", "scripted4", "saint")]
+                       + [("straight", system, 5)
+                          for system in ("base", "saint")])
 TRAIN_EPISODES = 12
 TRAIN_SEED = 3
 # Alternating training with a small warm-up buffer, so both agents update.
@@ -85,6 +92,18 @@ GOLDEN_ALTERNATING_TRAIN = {
         "e0909c5bd5be266f49ddf95d3d276b863086925dccfde210088ce855af930842",
 }
 
+GOLDEN_SCENARIO_EVAL = {
+    ("offramp", "base", 5):
+        "78f817f9951180be6cc0ce22354ddd75f310f632e3eb9c5b0ec48818bb1890fd",
+    ("offramp", "scripted4", 5):
+        "3e0a6a3e0cbb246efcdaf018bb67d0833a411fac9e78b44f3a94ee256bfc32fc",
+    ("offramp", "saint", 5):
+        "136b24e17093edf7de1fc5cd54659de519f7d7458f75d548d893df94402e93f2",
+    ("straight", "base", 5):
+        "7359e3fffe3ed92dc018110eee980b2a62468e4643a6205df2c1964ef5f46d45",
+    ("straight", "saint", 5):
+        "cff334d4b9bd52066366b9a602ee63170fd396eafe5b8bca675ae610ddccd987",
+}
 
 def eval_digest(scenario_name: str, system: str, seed: int) -> str:
     sc = load_builtin(scenario_name)
@@ -135,6 +154,12 @@ def test_extra_eval_digest(case):
     assert eval_digest(*case) == GOLDEN_EXTRA_EVAL[case]
 
 
+@pytest.mark.parametrize("case", SCENARIO_EVAL_CASES,
+                         ids=lambda case: "-".join(map(str, case)))
+def test_scenario_eval_digest(case):
+    assert eval_digest(*case) == GOLDEN_SCENARIO_EVAL[case]
+
+
 @pytest.mark.parametrize("system", ALTERNATING_SYSTEMS)
 def test_alternating_train_digest(tmp_path, system):
     assert (train_digest(tmp_path, system, alternating=True)
@@ -160,4 +185,8 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             digest = train_digest(Path(tmp), system, alternating=True)
         print(f"    {system!r}:\n        {digest!r},")
+    print("}")
+    print("GOLDEN_SCENARIO_EVAL = {")
+    for case in SCENARIO_EVAL_CASES:
+        print(f"    {case!r}:\n        {eval_digest(*case)!r},")
     print("}")
