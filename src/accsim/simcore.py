@@ -5,6 +5,15 @@ vehicles track a commanded bumper gap with a PD law bounded by the same safe
 speed envelope.  Collisions are permitted (zero minimum headway); a bumper
 overlap is logged as an actual collision and the involved vehicles are
 removed so one crash does not corrupt the rest of the episode.
+
+Each lane is a list kept front-first (descending position), so a vehicle's
+leader is its predecessor in the list and no pass searches for it.  Once the
+crashed vehicles are removed, positions within a lane are strictly
+decreasing: every remaining bumper gap is non-negative and every vehicle is
+at least 4 m long.  Lane changes rely on that to take the own-lane leader
+from their walk, and a lane is re-sorted only when the step left it out of
+order.  Vehicles leave from the front of a lane, so the despawn pass stops
+at the first vehicle short of the lane's nearest boundary.
 """
 
 from __future__ import annotations
@@ -97,9 +106,14 @@ def krauss_safe_speed(v_follower: float, v_leader: float, gap: float,
     return v_safe if v_safe > 0.0 else 0.0
 
 
-def acc_target_gap_control(follower: Vehicle, leader: Optional[Vehicle],
-                           gap_cmd: float, dt: float) -> float:
+def acc_target_gap_control(follower: Vehicle, leader_v: float,
+                           leader_rear: Optional[float], gap_cmd: float,
+                           dt: float) -> float:
     """Acceleration command tracking a desired bumper gap.
+
+    The leader enters as its speed `leader_v` and its rear-bumper position
+    `leader_rear` (``x - length``); `leader_rear` None means no leader, and
+    `leader_v` is then ignored.
 
     Normal operation is a PD law on gap error and closing speed whose
     braking is limited to a comfortable deceleration.  A separate danger
@@ -113,15 +127,15 @@ def acc_target_gap_control(follower: Vehicle, leader: Optional[Vehicle],
     """
     bound = follower.max_accel
     v = follower.v
-    if leader is None:
+    if leader_rear is None:
         follower.danger_latch = False
         a = CRUISE_GAIN * (FREE_FLOW_SPEED - v)
         if v + a * dt > FREE_FLOW_SPEED:
             a = (FREE_FLOW_SPEED - v) / dt
     else:
-        gap = leader.x - leader.length - follower.x
-        closing = v - leader.v
-        a = ACC_KP * (gap - gap_cmd) + ACC_KD * (leader.v - v)
+        gap = leader_rear - follower.x
+        closing = v - leader_v
+        a = ACC_KP * (gap - gap_cmd) + ACC_KD * (leader_v - v)
         if a < -ACC_COMFORT_DECEL:
             a = -ACC_COMFORT_DECEL
         if closing > 0.0:
@@ -138,7 +152,7 @@ def acc_target_gap_control(follower: Vehicle, leader: Optional[Vehicle],
             if follower.danger_latch:
                 # detected danger: anticipate that the leader may brake to a
                 # stop, and keep enough margin to stop behind it
-                stop_room = slack + leader.v * leader.v / (2.0 * decel)
+                stop_room = slack + leader_v * leader_v / (2.0 * decel)
                 if stop_room > 0.0:
                     need = max(need, v * v / (2.0 * stop_room))
                 else:
@@ -334,8 +348,13 @@ class World:
                 return False
         return True
 
-    def lane_change_decision(self, veh: Vehicle) -> Optional[int]:
-        """Target lane for `veh` this tick, or None to stay."""
+    def lane_change_decision(self, veh: Vehicle,
+                             leader: Optional[Vehicle]) -> Optional[int]:
+        """Target lane for `veh` this tick, or None to stay.
+
+        `leader` is the vehicle directly ahead of `veh` in its own lane (None
+        for the lane's front vehicle); only the discretionary branch reads it.
+        """
         geometry = self.geometry
         if veh.lane == RAMP_LANE:
             if veh.route != ROUTE_MERGE or veh.x < self.junction:
@@ -353,7 +372,6 @@ class World:
                     return veh.lane - 1
             return None
         # Discretionary: move if clearly impeded and a neighbor lane is freer.
-        leader, _, _ = self._neighbors(self.lanes[veh.lane], veh.x)
         if leader is None:
             return None
         gap = leader.x - leader.length - veh.x
@@ -382,15 +400,21 @@ class World:
         return best
 
     def _apply_lane_changes(self) -> None:
+        decide = self.lane_change_decision
         for lid in self.lane_ids:
-            # iterate over a snapshot: executing a change mutates the lists
-            for veh in list(self.lanes[lid]):
+            lane = self.lanes[lid]
+            # Iterate over a snapshot: executing a change mutates the lists.
+            # A lane only loses vehicles while it is walked, so the last
+            # snapshot vehicle still in it is the next vehicle's leader.
+            leader = None
+            for veh in list(lane):
                 if veh.lane != lid:
                     continue  # already moved this tick
-                target = self.lane_change_decision(veh)
+                target = decide(veh, leader)
                 if target is None:
+                    leader = veh
                     continue
-                self.lanes[lid].remove(veh)
+                lane.remove(veh)
                 dest = self.lanes[target]
                 _, _, pos = self._neighbors(dest, veh.x)
                 dest.insert(pos, veh)
@@ -400,24 +424,35 @@ class World:
     # ---- longitudinal dynamics ----------------------------------------
 
     def _longitudinal(self, dt: float) -> None:
+        """Accelerate and move every vehicle, one pass per lane.
+
+        Each vehicle's command reads its leader's pre-step speed and rear
+        bumper, kept in locals, so integrating in the same pass is the same
+        float sequence as computing every command first.
+        """
         rng_random = self.rng.random
-        on_ramp_end = self.ramp_end
+        acc_enabled = self.acc_enabled
         for lid in self.lane_ids:
             lane = self.lanes[lid]
-            leader: Optional[Vehicle] = None
+            wall = self.ramp_end if lid == RAMP_LANE else None
+            leader_v = 0.0
+            leader_rear: Optional[float] = None  # None: no leader
+            x_ahead = math.inf
+            ordered = True
             for veh in lane:
                 v = veh.v
-                bound = veh.max_accel
-                if veh.equipped and self.acc_enabled:
-                    a = acc_target_gap_control(veh, leader, veh.gap_cmd, dt)
+                x = veh.x
+                if veh.equipped and acc_enabled:
+                    a = acc_target_gap_control(veh, leader_v, leader_rear,
+                                               veh.gap_cmd, dt)
                     v_new = v + a * dt
                 else:
-                    if leader is not None:
-                        gap = leader.x - leader.length - veh.x
-                        v_safe = krauss_safe_speed(v, leader.v, gap, veh.tau,
-                                                   veh.max_decel)
+                    if leader_rear is not None:
+                        v_safe = krauss_safe_speed(v, leader_v, leader_rear - x,
+                                                   veh.tau, veh.max_decel)
                     else:
                         v_safe = FREE_FLOW_SPEED
+                    bound = veh.max_accel
                     v_new = v + bound * dt
                     if v_new > FREE_FLOW_SPEED:
                         v_new = FREE_FLOW_SPEED
@@ -425,11 +460,11 @@ class World:
                         v_new = v_safe
                     if veh.sigma > 0.0:
                         v_new -= veh.sigma * bound * dt * rng_random()
-                if lid == RAMP_LANE and on_ramp_end is not None:
+                if wall is not None:
                     # brake for the lane end only once inside true stopping
                     # distance, so mergers can match mainline speed first;
                     # overruns despawn (teleport analog)
-                    wall_gap = on_ramp_end - veh.x - 2.0
+                    wall_gap = wall - x - 2.0
                     if wall_gap < v * v / (2.0 * veh.max_decel) + 15.0:
                         v_wall = krauss_safe_speed(v, 0.0, wall_gap, 0.5,
                                                    veh.max_decel)
@@ -440,34 +475,43 @@ class World:
                     v_new = floor
                 if v_new < 0.0:
                     v_new = 0.0
-                veh.a = (v_new - v) / dt
-                leader = veh
-        for lid in self.lane_ids:
-            for veh in self.lanes[lid]:
-                veh.v += veh.a * dt
-                veh.x += veh.v * dt
-            self.lanes[lid].sort(key=lambda w: -w.x)
+                leader_v = v
+                leader_rear = x - veh.length
+                a = (v_new - v) / dt
+                veh.a = a
+                v += a * dt
+                x += v * dt
+                veh.v = v
+                veh.x = x
+                if x > x_ahead:
+                    ordered = False
+                x_ahead = x
+            if not ordered:  # a stable sort of an ordered lane is a no-op
+                lane.sort(key=lambda w: -w.x)
 
     # ---- events and despawns ------------------------------------------
 
     def _detect_events(self) -> None:
         min_gap = self.run.min_gap_for_near_collision
+        log = self._log
+        active_nc = self._active_nc
         current_nc: set[tuple[int, int]] = set()
         crashed: list[Vehicle] = []
         for lid in self.lane_ids:
-            lane = self.lanes[lid]
-            for i in range(1, len(lane)):
-                leader, follower = lane[i - 1], lane[i]
+            walk = iter(self.lanes[lid])
+            leader = next(walk, None)
+            for follower in walk:
                 gap = leader.x - leader.length - follower.x
                 if gap < 0.0:
-                    self._log(EVENT_ACTUAL_COLLISION, follower.id, leader.id)
+                    log(EVENT_ACTUAL_COLLISION, follower.id, leader.id)
                     crashed.append(leader)
                     crashed.append(follower)
                 elif gap < min_gap and follower.v > leader.v:
                     pair = (follower.id, leader.id)
                     current_nc.add(pair)
-                    if pair not in self._active_nc:
-                        self._log(EVENT_NEAR_COLLISION, follower.id, leader.id)
+                    if pair not in active_nc:
+                        log(EVENT_NEAR_COLLISION, follower.id, leader.id)
+                leader = follower
         self._active_nc = current_nc
         for veh in crashed:
             lane = self.lanes[veh.lane]
@@ -479,15 +523,30 @@ class World:
     def _despawn(self) -> None:
         end = self.geometry.mainline_length
         junction = self.junction
+        ramp_end = self.ramp_end
         for lid in self.lane_ids:
             lane = self.lanes[lid]
+            # Lanes are front-first, so every vehicle that leaves sits in the
+            # front run at or past the lane's nearest boundary.
+            boundary = end
+            if lid == RAMP_LANE and ramp_end is not None:
+                boundary = min(end, ramp_end)
+            elif lid == 0 and junction is not None:
+                boundary = min(end, junction)
+            if not lane or lane[0].x < boundary:
+                continue
             keep = []
+            run = 0
             for veh in lane:
-                out = veh.x >= end
+                x = veh.x
+                if x < boundary:
+                    break
+                run += 1
+                out = x >= end
                 exited = (veh.route == ROUTE_EXIT and lid == 0
-                          and junction is not None and veh.x >= junction)
-                stranded = (lid == RAMP_LANE and self.ramp_end is not None
-                            and veh.x >= self.ramp_end)
+                          and junction is not None and x >= junction)
+                stranded = (lid == RAMP_LANE and ramp_end is not None
+                            and x >= ramp_end)
                 if out or exited or stranded:
                     self.despawned += 1
                     self._log(EVENT_DESPAWN, veh.id)
@@ -496,8 +555,8 @@ class World:
                             (self.time, self.time - veh.spawn_time))
                 else:
                     keep.append(veh)
-            if len(keep) != len(lane):
-                self.lanes[lid][:] = keep
+            if len(keep) != run:
+                lane[:run] = keep
 
     # ---- main entry ----------------------------------------------------
 
