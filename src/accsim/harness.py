@@ -177,6 +177,14 @@ def _system_label(spec: PolicySpec) -> str:
 def run_sweep(scenario: Scenario, sweep: SweepSpec,
               progress: Optional[Callable[[str], None]] = None) -> list[SweepRow]:
     """Evaluate every (system, value, seed) combination with paired seeds."""
+    if sweep.parameter == "ttc_star_fixed":
+        for spec in sweep.systems:
+            # only these kinds read ttc_star; any other would run the same
+            # episode at every value
+            if spec.kind not in ("scripted", "fixed-ttc"):
+                raise HarnessError(
+                    f"ttc_star_fixed sweeps need a fixed-threshold system "
+                    f"(scripted or fixed-ttc), not {spec.kind!r}")
     tasks = []
     keys = set()
     for spec in sweep.systems:

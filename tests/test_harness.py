@@ -226,6 +226,21 @@ def test_sweep_rejects_repeated_label_before_any_episode(monkeypatch):
     assert tasks == []
 
 
+@pytest.mark.parametrize("kind", ["saint", "base"])
+def test_ttc_star_fixed_sweep_rejects_system_without_fixed_threshold(
+        monkeypatch, kind):
+    # saint and base ignore ttc_star: every value would be the same episode
+    monkeypatch.setenv("ACCSIM_WORKERS", "1")
+    tasks = []
+    monkeypatch.setattr(harness, "_run_task", tasks.append)
+    sweep = SweepSpec(parameter="ttc_star_fixed", values=(2.0, 6.0),
+                      episodes=1, base_seed=5,
+                      systems=(PolicySpec("scripted"), PolicySpec(kind)))
+    with pytest.raises(HarnessError, match=f"'{kind}'"):
+        run_sweep(load_builtin("desk"), sweep)
+    assert tasks == []
+
+
 # ---- training persistence ----------------------------------------------
 
 
