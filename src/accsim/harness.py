@@ -84,6 +84,10 @@ def _pool_imap(fn, tasks: list):
 
 # ---- policy specifications (picklable across worker processes) ---------
 
+# The policy kinds that read `PolicySpec.ttc_star`, each with the prefix of
+# its sweep label; every other kind ignores the threshold.
+FIXED_THRESHOLD_KINDS = {"scripted": "scripted-ttc", "fixed-ttc": "fixed-ttc"}
+
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -167,11 +171,8 @@ def _run_task(task) -> tuple:
 
 
 def _system_label(spec: PolicySpec) -> str:
-    if spec.kind == "scripted":
-        return f"scripted-ttc{spec.ttc_star:g}"
-    if spec.kind == "fixed-ttc":
-        return f"fixed-ttc{spec.ttc_star:g}"
-    return spec.kind
+    prefix = FIXED_THRESHOLD_KINDS.get(spec.kind)
+    return spec.kind if prefix is None else f"{prefix}{spec.ttc_star:g}"
 
 
 def run_sweep(scenario: Scenario, sweep: SweepSpec,
@@ -179,12 +180,11 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
     """Evaluate every (system, value, seed) combination with paired seeds."""
     if sweep.parameter == "ttc_star_fixed":
         for spec in sweep.systems:
-            # only these kinds read ttc_star; any other would run the same
-            # episode at every value
-            if spec.kind not in ("scripted", "fixed-ttc"):
+            # any other kind would run the same episode at every value
+            if spec.kind not in FIXED_THRESHOLD_KINDS:
                 raise HarnessError(
                     f"ttc_star_fixed sweeps need a fixed-threshold system "
-                    f"(scripted or fixed-ttc), not {spec.kind!r}")
+                    f"({' or '.join(FIXED_THRESHOLD_KINDS)}), not {spec.kind!r}")
     tasks = []
     keys = set()
     for spec in sweep.systems:

@@ -404,12 +404,10 @@ class World:
         for lid in self.lane_ids:
             lane = self.lanes[lid]
             # Iterate over a snapshot: executing a change mutates the lists.
-            # A lane only loses vehicles while it is walked, so the last
-            # snapshot vehicle still in it is the next vehicle's leader.
+            # While a lane is walked only the walked vehicle can leave it,
+            # so the last snapshot vehicle that stayed is the next leader.
             leader = None
             for veh in list(lane):
-                if veh.lane != lid:
-                    continue  # already moved this tick
                 target = decide(veh, leader)
                 if target is None:
                     leader = veh

@@ -9,6 +9,7 @@ from pathlib import Path
 RECORDER = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
 
 TOY_RUN = """import json, sys
+assert "--seconds" not in sys.argv  # the benchmark's own run length
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 print("a line before the result")
 print(json.dumps({"correct": True, "attempted": seed, "failed": 0,
@@ -32,7 +33,8 @@ def commit_toy(repo, ops, p50):
     return git(repo, "rev-parse", "HEAD")
 
 
-def test_recorder_writes_pairs_spreads_and_wins(tmp_path):
+def make_toy_repo(tmp_path):
+    """A repository of two commits whose toy benchmarks differ."""
     repo = tmp_path / "toy"
     (repo / "bench").mkdir(parents=True)
     git(repo, "init", "-q")
@@ -43,19 +45,27 @@ def test_recorder_writes_pairs_spreads_and_wins(tmp_path):
             {"name": "op_p50_ms", "unit": "ms", "better": "lower"}]}))
     base_sha = commit_toy(repo, 1.0, 4.0)
     head_sha = commit_toy(repo, 2.0, 5.0)
+    return repo, base_sha, head_sha
 
-    proc = subprocess.run(
+
+def run_recorder(repo):
+    return subprocess.run(
         [sys.executable, str(RECORDER), "--base", "HEAD~1", "--workload",
-         "toy", "--pairs", "2", "--seconds", "3", "--seed0", "40"],
+         "toy", "--pairs", "2", "--seed0", "40"],
         cwd=repo, capture_output=True, text=True, timeout=120)
+
+
+def test_recorder_writes_pairs_spreads_and_wins(tmp_path):
+    repo, base_sha, head_sha = make_toy_repo(tmp_path)
+    proc = run_recorder(repo)
     assert proc.returncode == 0, proc.stderr
-    out = repo / f"BENCH_{head_sha[:7]}.json"
+    out = repo / f"BENCH_{head_sha[:7]}_toy.json"
     assert proc.stdout.strip() == str(out)
     rec = json.loads(out.read_text())
 
     assert rec["base"] == {"rev": "HEAD~1", "sha": base_sha}
     assert rec["head"] == {"sha": head_sha, "dirty": False}
-    assert rec["cores"] >= 1 and rec["seconds"] == 3
+    assert rec["cores"] >= 1 and rec["seconds"] == 25
     assert rec["seeds"] == [40, 41]
     assert [p["first"] for p in rec["pairs"]] == ["base", "head"]
     for pair in rec["pairs"]:
@@ -71,4 +81,14 @@ def test_recorder_writes_pairs_spreads_and_wins(tmp_path):
     p50 = rec["metrics"]["op_p50_ms"]  # lower is better: head loses
     assert (p50["head_wins"], p50["base_wins"]) == (0, 2)
     # the base checkout is gone again
+    assert len(git(repo, "worktree", "list").splitlines()) == 1
+
+
+def test_recorder_refuses_to_overwrite_a_record(tmp_path):
+    repo, _, head_sha = make_toy_repo(tmp_path)
+    out = repo / f"BENCH_{head_sha[:7]}_toy.json"
+    out.write_text("an earlier record\n")
+    proc = run_recorder(repo)
+    assert proc.returncode != 0 and "exists" in proc.stderr
+    assert out.read_text() == "an earlier record\n"
     assert len(git(repo, "worktree", "list").splitlines()) == 1

@@ -1,22 +1,24 @@
 """A/B recorder: run the benchmark on a base revision and on the working tree.
 
     python3 tools/ab_bench.py --base <rev> --workload <name> --pairs N \
-        [--seconds S] [--seed0 K]
+        [--seed0 K]
 
 Run from anywhere inside the repository.  The base revision is checked out
 with ``git worktree add --detach`` under a temporary directory, which is
 removed again at the end.  Pair i runs the benchmark command of
-``BENCHMARK.json`` once in each tree on seed K+i, the base first in even
-pairs and the working tree first in odd ones, so drift of the host's speed
-falls on both sides alike.  Each run's last line of standard output is its
-JSON result.
+``BENCHMARK.json`` once in each tree on seed K+i, at the benchmark's own
+run length, the base first in even pairs and the working tree first in odd
+ones, so drift of the host's speed falls on both sides alike.  Each run's
+last line of standard output is its JSON result.
 
-The record goes to ``BENCH_<short head sha>.json`` at the repository root:
-both SHAs and whether the working tree had uncommitted changes, the usable
-core count, every run's ``correct``, ``attempted``, ``failed`` and end-to-end
-metric values, and per metric each side's median and quartiles (inclusive
-method) and the pairs each side won in the direction ``BENCHMARK.json``
-gives; a tie counts for neither side.
+The record goes to ``BENCH_<short head sha>_<workload>.json`` at the
+repository root; if that file exists the recorder refuses to start, so no
+record is overwritten.  It holds both SHAs and whether the working tree had
+uncommitted changes, the usable core count, the run length, every run's
+``correct``, ``attempted``, ``failed`` and end-to-end metric values, and per
+metric each side's median and quartiles (inclusive method) and the pairs
+each side won in the direction ``BENCHMARK.json`` gives; a tie counts for
+neither side.
 """
 
 import argparse
@@ -42,9 +44,6 @@ def parse_args(argv):
                         help="revision to compare the working tree against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="timed seconds per run (default: the "
-                        "benchmark's own)")
     parser.add_argument("--seed0", type=int, default=0,
                         help="seed of the first pair")
     args = parser.parse_args(argv)
@@ -53,11 +52,8 @@ def parse_args(argv):
     return args
 
 
-def run_bench(tree: Path, command: list, workload: str, seed: int,
-              seconds) -> dict:
+def run_bench(tree: Path, command: list, workload: str, seed: int) -> dict:
     cmd = command + ["--workload", workload, "--seed", str(seed)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -106,6 +102,9 @@ def record(root: Path, args) -> Path:
     base_sha = git(root, "rev-parse", "--verify", f"{args.base}^{{commit}}")
     head_sha = git(root, "rev-parse", "HEAD")
     dirty = bool(git(root, "status", "--porcelain"))
+    out = root / f"BENCH_{head_sha[:7]}_{args.workload}.json"
+    if out.exists():
+        raise SystemExit(f"{out} exists; move it aside to record again")
     seeds = [args.seed0 + i for i in range(args.pairs)]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
@@ -118,7 +117,7 @@ def record(root: Path, args) -> Path:
                 for side in order:
                     tree = base_tree if side == "base" else root
                     pair[side] = run_bench(tree, benchmark["command"],
-                                           args.workload, seed, args.seconds)
+                                           args.workload, seed)
                 pairs.append(pair)
                 print(f"[{i + 1}/{len(seeds)}] seed {seed}: " + ", ".join(
                     f"{name} {pair['base']['metrics'][name]:.4g} -> "
@@ -128,14 +127,12 @@ def record(root: Path, args) -> Path:
                     file=sys.stderr, flush=True)
         finally:
             git(root, "worktree", "remove", "--force", str(base_tree))
-    out = root / f"BENCH_{head_sha[:7]}.json"
     out.write_text(json.dumps({
         "workload": args.workload,
         "base": {"rev": args.base, "sha": base_sha},
         "head": {"sha": head_sha, "dirty": dirty},
         "cores": len(os.sched_getaffinity(0)),
-        "seconds": (args.seconds if args.seconds is not None
-                    else benchmark["run_seconds"]),
+        "seconds": benchmark["run_seconds"],
         "seeds": seeds,
         "pairs": pairs,
         "metrics": summarize(pairs, benchmark["end_to_end"]),
