@@ -1,6 +1,8 @@
 """Numerical tests for the from-scratch Q-network stack."""
 
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -400,3 +402,148 @@ def test_checkpoint_training_resumes_identically(tmp_path):
     loss_b = train_step(net2, target, batch, 0.95, adam2)
     assert loss_a == loss_b
     np.testing.assert_array_equal(net.W2, net2.W2)
+
+
+# ---- the update against its per-array reference --------------------------
+
+
+def reference_snapshot(net):
+    """The network's parameters and statistics as separate arrays."""
+    return SimpleNamespace(W1=net.W1.copy(), b1=net.b1.copy(),
+                           W2=net.W2.copy(), b2=net.b2.copy(),
+                           running_mean=net.running_mean.copy(),
+                           running_var=net.running_var.copy())
+
+
+def reference_update_norm_stats(net, batch):
+    m = BN_MOMENTUM
+    net.running_mean *= m
+    net.running_mean += (1.0 - m) * batch.mean(axis=0)
+    net.running_var *= m
+    net.running_var += (1.0 - m) * batch.var(axis=0)
+
+
+def reference_loss_grads(net, states, actions, targets):
+    n = states.shape[0]
+    z = (states - net.running_mean) / np.sqrt(net.running_var + BN_EPS)
+    pre = z @ net.W1 + net.b1
+    h = np.maximum(pre, 0.0)
+    q = h @ net.W2 + net.b2
+    rows = np.arange(n)
+    diff = q[rows, actions] - targets
+    loss = float(np.mean(diff * diff))
+    dq = np.zeros_like(q)
+    dq[rows, actions] = 2.0 * diff / n
+    dW2 = h.T @ dq
+    db2 = dq.sum(axis=0)
+    dh = dq @ net.W2.T
+    dh[pre <= 0.0] = 0.0
+    dW1 = z.T @ dh
+    db1 = dh.sum(axis=0)
+    return loss, [dW1, db1, dW2, db2]
+
+
+def reference_adam_step(adam, params, grads):
+    if adam.m is None:
+        adam.m = [np.zeros_like(p) for p in params]
+        adam.v = [np.zeros_like(p) for p in params]
+    adam.t += 1
+    b1, b2 = adam.beta1, adam.beta2
+    bc1 = 1.0 - b1 ** adam.t
+    bc2 = 1.0 - b2 ** adam.t
+    for p, g, m, v in zip(params, grads, adam.m, adam.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.eps)
+
+
+def reference_train_step(net, target_net, batch, gamma, adam):
+    """One DQN update as a list of per-parameter array operations: the
+    normalization statistics from ``mean`` and ``var``, the loss from
+    ``np.mean``, fresh gradient arrays and one Adam pass per parameter."""
+    states, actions, rewards, next_states, dones = batch
+    reference_update_norm_stats(net, states)
+    q_next = reference_forward(target_net, next_states)
+    targets = rewards + gamma * (1.0 - dones) * q_next.max(axis=1)
+    loss, grads = reference_loss_grads(net, states, actions, targets)
+    reference_adam_step(adam, [net.W1, net.b1, net.W2, net.b2], grads)
+    return loss
+
+
+def moment_vector(moments):
+    """Adam moments as one vector, in parameter order."""
+    if isinstance(moments, np.ndarray):
+        return moments
+    return np.concatenate([m.ravel() for m in moments])
+
+
+def filled_buffer(rng, state_dim, n_actions, rows=400):
+    buf = ReplayBuffer(1000, state_dim)
+    for _ in range(rows):
+        buf.push(rng.normal(5.0, 3.0, state_dim), int(rng.integers(n_actions)),
+                 float(rng.normal()), rng.normal(5.0, 3.0, state_dim),
+                 bool(rng.random() < 0.1))
+    return buf
+
+
+@pytest.mark.parametrize("n_actions, hidden, gamma, lr", [
+    (25, 30, 0.95, 1e-4),  # the gap agent
+    (21, 4, 0.0, 1e-3),    # the threshold agent
+])
+def test_train_step_bitwise_matches_reference(tmp_path, n_actions, hidden,
+                                              gamma, lr):
+    rng = np.random.default_rng(31)
+    net = QNetwork(13, n_actions, hidden, rng=rng)
+    target = net.copy()
+    adam = AdamState(lr)
+    ref, ref_target = reference_snapshot(net), reference_snapshot(target)
+    ref_adam = SimpleNamespace(learning_rate=lr, beta1=adam.beta1,
+                               beta2=adam.beta2, eps=adam.eps, t=0,
+                               m=None, v=None)
+    buf = filled_buffer(rng, 13, n_actions)
+    for k in range(1, 301):
+        batch = buf.sample(64, rng)
+        loss = train_step(net, target, batch, gamma, adam)
+        ref_loss = reference_train_step(ref, ref_target, batch, gamma,
+                                        ref_adam)
+        assert loss == ref_loss, k
+        if k % 5 == 0:
+            sync_target(net, target)
+            ref_target = reference_snapshot(ref)
+        if k == 150:
+            path = tmp_path / "mid.ckpt"
+            rlcore.save_checkpoint(path, net, adam, EpsilonSchedule())
+            net, adam, _ = rlcore.load_checkpoint(path)
+        for name in ("W1", "b1", "W2", "b2", "running_mean", "running_var"):
+            assert getattr(net, name).tobytes() == \
+                getattr(ref, name).tobytes(), (k, name)
+        assert adam.t == ref_adam.t == k
+        assert moment_vector(adam.m).tobytes() == \
+            moment_vector(ref_adam.m).tobytes(), k
+        assert moment_vector(adam.v).tobytes() == \
+            moment_vector(ref_adam.v).tobytes(), k
+    assert target.W2.tobytes() == ref_target.W2.tobytes()
+
+
+# sha256 of the checkpoint written by test_checkpoint_bytes_are_pinned
+CHECKPOINT_SHA256 = (
+    "8d27d565f989cf27dd83c81fa2387548c7d4ed75bfbb49ce1843d13238c164f1")
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(41)
+    net = QNetwork(13, 25, 30, rng=rng)
+    target = net.copy()
+    adam = AdamState(1e-4)
+    sched = EpsilonSchedule()
+    buf = filled_buffer(rng, 13, 25, rows=200)
+    for k in range(1, 41):
+        train_step(net, target, buf.sample(64, rng), 0.95, adam)
+        sched.advance()
+        if k % 5 == 0:
+            sync_target(net, target)
+    path = tmp_path / "pinned.ckpt"
+    rlcore.save_checkpoint(path, net, adam, sched)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
