@@ -277,9 +277,9 @@ class DqnAgent:
         import zlib
 
         crc = 0
-        for arr in self.net.parameters() + [self.net.running_mean,
-                                            self.net.running_var]:
-            crc = zlib.crc32(arr.tobytes(), crc)
+        for arr in (self.net.flat, self.net.running_mean,
+                    self.net.running_var):
+            crc = zlib.crc32(arr, crc)
         return crc
 
     def save(self, path) -> None:

@@ -3,10 +3,20 @@
 One-hidden-layer MLP (ReLU, linear head) with input-feature normalization
 kept as running mean/variance, Adam, MSE loss on the taken action, a uniform
 ring replay buffer, a frozen target copy, and an epsilon-greedy schedule.
+
+Each QNetwork keeps W1, b1, W2 and b2 as reshaped views into one contiguous
+vector ``flat``, in checkpoint order, and its gradients as the same views
+into ``grad``.  The networks are small (13 inputs, tens of units), so an
+update costs numpy calls, not arithmetic: the gradients are written into
+``grad`` in place, and Adam, being elementwise, runs once over the whole
+vector instead of once per parameter array, with the same float operations
+on each element.  Checkpoints store ``flat`` and the Adam moments as the
+four parameter arrays back to back, so the file format is the per-array one.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -34,12 +44,32 @@ class QNetwork:
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.output_dim = output_dim
-        self.W1 = rng.normal(0.0, init_std, (input_dim, hidden_dim))
-        self.b1 = np.zeros(hidden_dim)
-        self.W2 = rng.normal(0.0, init_std, (hidden_dim, output_dim))
-        self.b2 = np.zeros(output_dim)
+        W1 = rng.normal(0.0, init_std, (input_dim, hidden_dim))
+        W2 = rng.normal(0.0, init_std, (hidden_dim, output_dim))
+        self._bind(np.zeros(self._flat_size()))
+        self.W1[...] = W1
+        self.W2[...] = W2
         self.running_mean = np.zeros(input_dim)
         self.running_var = np.ones(input_dim)
+
+    def _flat_size(self) -> int:
+        i, h, o = self.input_dim, self.hidden_dim, self.output_dim
+        return i * h + h + h * o + o
+
+    def _views(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """W1, b1, W2, b2 as reshaped views into one flat vector."""
+        i, h, o = self.input_dim, self.hidden_dim, self.output_dim
+        a = i * h
+        b = a + h
+        c = b + h * o
+        return vec[:a].reshape(i, h), vec[a:b], vec[b:c].reshape(h, o), vec[c:]
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Take `flat` as the parameter vector, with a fresh gradient."""
+        self.flat = flat
+        self.W1, self.b1, self.W2, self.b2 = self._views(flat)
+        self.grad = np.zeros_like(flat)
+        self.dW1, self.db1, self.dW2, self.db2 = self._views(self.grad)
 
     def parameters(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2]
@@ -48,12 +78,22 @@ class QNetwork:
         return (x - self.running_mean) / np.sqrt(self.running_var + BN_EPS)
 
     def update_norm_stats(self, batch: np.ndarray) -> None:
-        """Fold a training batch into the running input statistics."""
+        """Fold a training batch into the running input statistics.
+
+        The batch mean and variance are the sums and divisions that
+        ``batch.mean(axis=0)`` and ``batch.var(axis=0)`` make, with the mean
+        computed once.
+        """
+        n = batch.shape[0]
+        mean = np.add.reduce(batch, 0) / n
+        dev = batch - mean
+        dev *= dev
+        var = np.add.reduce(dev, 0) / n
         m = BN_MOMENTUM
         self.running_mean *= m
-        self.running_mean += (1.0 - m) * batch.mean(axis=0)
+        self.running_mean += (1.0 - m) * mean
         self.running_var *= m
-        self.running_var += (1.0 - m) * batch.var(axis=0)
+        self.running_var += (1.0 - m) * var
 
     def forward(self, state: np.ndarray) -> np.ndarray:
         """Q-values for one state (1-d) or a batch (2-d), inference mode."""
@@ -81,10 +121,7 @@ class QNetwork:
         return out
 
     def clone_from(self, other: "QNetwork") -> None:
-        self.W1 = other.W1.copy()
-        self.b1 = other.b1.copy()
-        self.W2 = other.W2.copy()
-        self.b2 = other.b2.copy()
+        self._bind(other.flat.copy())
         self.running_mean = other.running_mean.copy()
         self.running_var = other.running_var.copy()
 
@@ -95,6 +132,9 @@ def sync_target(net: QNetwork, target_net: QNetwork) -> None:
 
 
 class AdamState:
+    """Adam moments `m` and `v` as flat vectors, parallel to a network's
+    ``flat`` parameter vector."""
+
     def __init__(self, learning_rate: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
@@ -102,23 +142,24 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        """Update the flat parameter vector `p` in place from gradient `g`."""
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = np.zeros_like(p)
+            self.v = np.zeros_like(p)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 class ReplayBuffer:
@@ -161,8 +202,9 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         idx = rng.integers(0, self.size, size=batch_size)
-        return (self.states[idx], self.actions[idx], self.rewards[idx],
-                self.next_states[idx], self.dones[idx])
+        return (self.states.take(idx, axis=0), self.actions[idx],
+                self.rewards[idx], self.next_states.take(idx, axis=0),
+                self.dones[idx])
 
     def __len__(self) -> int:
         return self.size
@@ -203,24 +245,27 @@ def select_action(net: QNetwork, state: np.ndarray, schedule: EpsilonSchedule,
 
 def _loss_grads(net: QNetwork, states: np.ndarray, actions: np.ndarray,
                 targets: np.ndarray):
-    """MSE loss on the taken actions plus gradients for all parameters."""
+    """MSE loss on the taken actions; the gradients of all parameters are
+    written into ``net.grad``, which is returned with the loss."""
     n = states.shape[0]
     z = net.normalize(states)
-    pre = z @ net.W1 + net.b1
+    pre = z @ net.W1
+    pre += net.b1
     h = np.maximum(pre, 0.0)
-    q = h @ net.W2 + net.b2
+    q = h @ net.W2
+    q += net.b2
     rows = np.arange(n)
     diff = q[rows, actions] - targets
-    loss = float(np.mean(diff * diff))
+    loss = float(np.add.reduce(diff * diff) / n)
     dq = np.zeros_like(q)
     dq[rows, actions] = 2.0 * diff / n
-    dW2 = h.T @ dq
-    db2 = dq.sum(axis=0)
+    np.matmul(h.T, dq, out=net.dW2)
+    np.add.reduce(dq, axis=0, out=net.db2)
     dh = dq @ net.W2.T
-    dh[pre <= 0.0] = 0.0
-    dW1 = z.T @ dh
-    db1 = dh.sum(axis=0)
-    return loss, [dW1, db1, dW2, db2]
+    np.putmask(dh, pre <= 0.0, 0.0)
+    np.matmul(z.T, dh, out=net.dW1)
+    np.add.reduce(dh, axis=0, out=net.db1)
+    return loss, net.grad
 
 
 def train_step(net: QNetwork, target_net: QNetwork, batch, gamma: float,
@@ -230,8 +275,8 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, gamma: float,
     net.update_norm_stats(states)
     q_next = target_net.forward(next_states)
     targets = rewards + gamma * (1.0 - dones) * q_next.max(axis=1)
-    loss, grads = _loss_grads(net, states, actions, targets)
-    adam.step(net.parameters(), grads)
+    loss, grad = _loss_grads(net, states, actions, targets)
+    adam.step(net.flat, grad)
     return loss
 
 
@@ -244,30 +289,29 @@ def backward_check(net: QNetwork, state: np.ndarray, action: int,
     state = np.asarray(state, dtype=float).reshape(1, -1)
     actions = np.array([action])
     targets = np.array([float(target)])
-    _, grads = _loss_grads(net, state, actions, targets)
+    # the finite differences below overwrite net.grad
+    grad = _loss_grads(net, state, actions, targets)[1].copy()
 
     def loss_at() -> float:
         loss, _ = _loss_grads(net, state, actions, targets)
         return loss
 
     worst = 0.0
-    for p, g in zip(net.parameters(), grads):
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + fd_eps
-            hi = loss_at()
-            flat_p[i] = orig - fd_eps
-            lo = loss_at()
-            flat_p[i] = orig
-            fd = (hi - lo) / (2.0 * fd_eps)
-            scale = max(abs(flat_g[i]), abs(fd))
-            err = abs(flat_g[i] - fd)
-            if scale > 1e-6:
-                err /= scale
-            if err > worst:
-                worst = err
+    flat = net.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + fd_eps
+        hi = loss_at()
+        flat[i] = orig - fd_eps
+        lo = loss_at()
+        flat[i] = orig
+        fd = (hi - lo) / (2.0 * fd_eps)
+        scale = max(abs(grad[i]), abs(fd))
+        err = abs(grad[i] - fd)
+        if scale > 1e-6:
+            err /= scale
+        if err > worst:
+            worst = err
     return worst
 
 
@@ -280,29 +324,41 @@ def _pack_array(arr: np.ndarray) -> bytes:
 
 def save_checkpoint(path, net: QNetwork, adam: AdamState,
                     schedule: EpsilonSchedule) -> None:
-    """Write net weights, Adam moments and the epsilon state to `path`."""
-    if adam.m is None:
-        adam.m = [np.zeros_like(p) for p in net.parameters()]
-        adam.v = [np.zeros_like(p) for p in net.parameters()]
-    parts = [
+    """Write net weights, Adam moments and the epsilon state to `path`.
+
+    The file is written and synced beside `path`, then renamed over it, so
+    a failed write or a crash leaves the previous checkpoint whole.  The
+    parameters and each Adam moment are stored as W1, b1, W2, b2 back to
+    back, which is the order of the flat vectors.
+    """
+    m = adam.m if adam.m is not None else np.zeros_like(net.flat)
+    v = adam.v if adam.v is not None else np.zeros_like(net.flat)
+    payload = b"".join([
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<III", net.input_dim, net.hidden_dim, net.output_dim),
         _pack_array(net.running_mean),
         _pack_array(net.running_var),
-    ]
-    for p in net.parameters():
-        parts.append(_pack_array(p))
-    parts.append(struct.pack("<Qd", adam.t, adam.learning_rate))
-    parts.append(struct.pack("<ddd", adam.beta1, adam.beta2, adam.eps))
-    for arr in adam.m + adam.v:
-        parts.append(_pack_array(arr))
-    parts.append(struct.pack("<ddddQ", schedule.eps0, schedule.eps_min,
-                             schedule.decay, schedule.value, schedule.steps))
-    payload = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        _pack_array(net.flat),
+        struct.pack("<Qd", adam.t, adam.learning_rate),
+        struct.pack("<ddd", adam.beta1, adam.beta2, adam.eps),
+        _pack_array(m),
+        _pack_array(v),
+        struct.pack("<ddddQ", schedule.eps0, schedule.eps_min,
+                    schedule.decay, schedule.value, schedule.steps),
+    ])
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[QNetwork, AdamState, EpsilonSchedule]:
@@ -340,16 +396,15 @@ def load_checkpoint(path) -> tuple[QNetwork, AdamState, EpsilonSchedule]:
     net.input_dim, net.hidden_dim, net.output_dim = input_dim, hidden_dim, output_dim
     net.running_mean = take_array((input_dim,))
     net.running_var = take_array((input_dim,))
-    shapes = [(input_dim, hidden_dim), (hidden_dim,),
-              (hidden_dim, output_dim), (output_dim,)]
-    net.W1, net.b1, net.W2, net.b2 = (take_array(s) for s in shapes)
+    size = net._flat_size()
+    net._bind(take_array((size,)))
 
     t, lr = struct.unpack("<Qd", take(16))
     beta1, beta2, eps = struct.unpack("<ddd", take(24))
     adam = AdamState(lr, beta1, beta2, eps)
     adam.t = t
-    adam.m = [take_array(s) for s in shapes]
-    adam.v = [take_array(s) for s in shapes]
+    adam.m = take_array((size,))
+    adam.v = take_array((size,))
 
     eps0, eps_min, decay, value, steps = struct.unpack("<ddddQ", take(40))
     schedule = EpsilonSchedule(eps0, eps_min, decay, value, steps)

@@ -222,6 +222,17 @@ class World:
             self.ramp_end = self.junction + geometry.accel_lane_length
         else:
             self.ramp_start = self.ramp_end = None
+        # Each lane's nearest boundary: vehicles leave at the mainline end,
+        # at the junction from lane 0 (exiters) and at the ramp's end.
+        end = geometry.mainline_length
+        self._despawn_bounds: list[tuple[int, float]] = []
+        for lid in self.lane_ids:
+            boundary = end
+            if lid == RAMP_LANE and self.ramp_end is not None:
+                boundary = min(end, self.ramp_end)
+            elif lid == 0 and self.junction is not None:
+                boundary = min(end, self.junction)
+            self._despawn_bounds.append((lid, boundary))
 
         self._lc_period_steps = max(1, round(LANE_CHANGE_PERIOD
                                              / run.physics_timestep))
@@ -287,6 +298,10 @@ class World:
         return True
 
     def _process_spawns(self) -> None:
+        if not self._pending and (
+                self._next_spawn == len(self._schedule)
+                or self._schedule[self._next_spawn].time > self.time):
+            return
         still_pending: list[tuple[int, SpawnEvent]] = []
         blocked_lanes: set[int] = set()
         for idx, ev in self._pending:
@@ -522,15 +537,10 @@ class World:
         end = self.geometry.mainline_length
         junction = self.junction
         ramp_end = self.ramp_end
-        for lid in self.lane_ids:
+        for lid, boundary in self._despawn_bounds:
             lane = self.lanes[lid]
             # Lanes are front-first, so every vehicle that leaves sits in the
             # front run at or past the lane's nearest boundary.
-            boundary = end
-            if lid == RAMP_LANE and ramp_end is not None:
-                boundary = min(end, ramp_end)
-            elif lid == 0 and junction is not None:
-                boundary = min(end, junction)
             if not lane or lane[0].x < boundary:
                 continue
             keep = []

@@ -48,10 +48,10 @@ def make_toy_repo(tmp_path):
     return repo, base_sha, head_sha
 
 
-def run_recorder(repo):
+def run_recorder(repo, workload="toy"):
     return subprocess.run(
         [sys.executable, str(RECORDER), "--base", "HEAD~1", "--workload",
-         "toy", "--pairs", "2", "--seed0", "40"],
+         workload, "--pairs", "2", "--seed0", "40"],
         cwd=repo, capture_output=True, text=True, timeout=120)
 
 
@@ -92,3 +92,23 @@ def test_recorder_refuses_to_overwrite_a_record(tmp_path):
     assert proc.returncode != 0 and "exists" in proc.stderr
     assert out.read_text() == "an earlier record\n"
     assert len(git(repo, "worktree", "list").splitlines()) == 1
+
+
+def test_recorder_leaves_only_untracked_records_out_of_dirty(tmp_path):
+    repo, _, head_sha = make_toy_repo(tmp_path)
+
+    def dirty_after_recording(workload):
+        proc = run_recorder(repo, workload)
+        assert proc.returncode == 0, proc.stderr
+        out = repo / f"BENCH_{head_sha[:7]}_{workload}.json"
+        return json.loads(out.read_text())["head"]["dirty"]
+
+    assert dirty_after_recording("toy") is False
+    # the first record sits untracked in the tree
+    assert dirty_after_recording("toy2") is False
+    (repo / "notes.txt").write_text("an untracked file\n")
+    assert dirty_after_recording("toy3") is True
+    (repo / "notes.txt").unlink()
+    run_py = repo / "bench" / "run.py"
+    run_py.write_text(run_py.read_text() + "# an edit\n")
+    assert dirty_after_recording("toy4") is True

@@ -1,5 +1,7 @@
 """Numerical tests for the from-scratch Q-network stack."""
 
+import builtins
+import errno
 import hashlib
 import math
 from types import SimpleNamespace
@@ -271,6 +273,40 @@ def test_sync_target_makes_forward_equal():
     assert not np.array_equal(net.W1, target.W1)
 
 
+def assert_views_share_memory(net):
+    for p in net.parameters():
+        assert np.shares_memory(p, net.flat)
+    for g in (net.dW1, net.db1, net.dW2, net.db2):
+        assert np.shares_memory(g, net.grad)
+    assert sum(p.size for p in net.parameters()) == net.flat.size
+    assert net.grad.shape == net.flat.shape
+
+
+def test_parameter_and_gradient_views_share_the_flat_vectors(tmp_path):
+    net = make_net(seed=23)
+    assert_views_share_memory(net)
+    twin = net.copy()
+    assert_views_share_memory(twin)
+    assert not np.shares_memory(twin.flat, net.flat)
+    other = make_net(seed=24)
+    other.clone_from(net)
+    assert_views_share_memory(other)
+    assert other.flat.tobytes() == net.flat.tobytes()
+    path = tmp_path / "net.ckpt"
+    rlcore.save_checkpoint(path, net, AdamState(), EpsilonSchedule())
+    loaded, _, _ = rlcore.load_checkpoint(path)
+    assert_views_share_memory(loaded)
+    # Adam updates `flat` in place, so forward reads the new weights
+    states = np.random.default_rng(25).normal(size=(8, 3))
+    batch = (states, np.arange(8) % 4, np.ones(8), states, np.zeros(8))
+    before = loaded.forward(states)
+    train_step(loaded, loaded.copy(), batch, 0.95, AdamState(1e-2))
+    assert_views_share_memory(loaded)
+    assert not np.array_equal(loaded.forward(states), before)
+    np.testing.assert_array_equal(loaded.forward(states),
+                                  reference_forward(loaded, states))
+
+
 # ---- replay buffer -----------------------------------------------------
 
 
@@ -385,6 +421,50 @@ def test_checkpoint_bad_magic_raises(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(CheckpointError):
         rlcore.load_checkpoint(path)
+
+
+class HalfWriter:
+    """A file whose first write stores half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(
+        tmp_path, monkeypatch):
+    net = make_net(seed=22)
+    adam = AdamState()
+    train_step(net, net.copy(), (np.ones((4, 3)), np.zeros(4, dtype=int),
+                                 np.ones(4), np.ones((4, 3)), np.zeros(4)),
+               0.95, adam)
+    path = tmp_path / "net.ckpt"
+    rlcore.save_checkpoint(path, net, adam, EpsilonSchedule())
+    saved = path.read_bytes()
+    saved_params = [p.copy() for p in net.parameters()]
+    net.W1 += 1.0
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return HalfWriter(builtins.open(file, mode, *args, **kwargs))
+
+    monkeypatch.setattr(rlcore, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        rlcore.save_checkpoint(path, net, adam, EpsilonSchedule())
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
+    assert path.read_bytes() == saved
+    loaded, _, _ = rlcore.load_checkpoint(path)
+    for p, q in zip(loaded.parameters(), saved_params):
+        assert p.tobytes() == q.tobytes()
 
 
 def test_checkpoint_training_resumes_identically(tmp_path):

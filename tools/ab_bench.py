@@ -14,7 +14,8 @@ last line of standard output is its JSON result.
 The record goes to ``BENCH_<short head sha>_<workload>.json`` at the
 repository root; if that file exists the recorder refuses to start, so no
 record is overwritten.  It holds both SHAs and whether the working tree had
-uncommitted changes, the usable core count, the run length, every run's
+uncommitted changes (untracked ``BENCH_*.json`` records aside, so a second
+record of the same commit is not marked by the first), the usable core count, the run length, every run's
 ``correct``, ``attempted``, ``failed`` and end-to-end metric values, and per
 metric each side's median and quartiles (inclusive method) and the pairs
 each side won in the direction ``BENCHMARK.json`` gives; a tie counts for
@@ -22,6 +23,7 @@ neither side.
 """
 
 import argparse
+import fnmatch
 import json
 import os
 import statistics
@@ -36,6 +38,16 @@ RUN_TIMEOUT_S = 1800
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def tree_is_dirty(root: Path) -> bool:
+    """Whether the working tree differs from HEAD, leaving untracked A/B
+    records out."""
+    for line in git(root, "status", "--porcelain").splitlines():
+        if not (line.startswith("?? ")
+                and fnmatch.fnmatch(line[3:], "BENCH_*.json")):
+            return True
+    return False
 
 
 def parse_args(argv):
@@ -101,7 +113,7 @@ def record(root: Path, args) -> Path:
     benchmark = json.loads((root / "BENCHMARK.json").read_text())
     base_sha = git(root, "rev-parse", "--verify", f"{args.base}^{{commit}}")
     head_sha = git(root, "rev-parse", "HEAD")
-    dirty = bool(git(root, "status", "--porcelain"))
+    dirty = tree_is_dirty(root)
     out = root / f"BENCH_{head_sha[:7]}_{args.workload}.json"
     if out.exists():
         raise SystemExit(f"{out} exists; move it aside to record again")
