@@ -15,11 +15,11 @@ The record goes to ``BENCH_<short head sha>_<workload>.json`` at the
 repository root; if that file exists the recorder refuses to start, so no
 record is overwritten.  It holds both SHAs and whether the working tree had
 uncommitted changes (untracked ``BENCH_*.json`` records aside, so a second
-record of the same commit is not marked by the first), the usable core count, the run length, every run's
-``correct``, ``attempted``, ``failed`` and end-to-end metric values, and per
-metric each side's median and quartiles (inclusive method) and the pairs
-each side won in the direction ``BENCHMARK.json`` gives; a tie counts for
-neither side.
+record of the same commit is not marked by the first), the usable core
+count, the run length, every run's ``correct``, ``attempted``, ``failed``
+and end-to-end metric values, and per metric each side's median and
+quartiles (inclusive method) and the pairs each side won in the direction
+``BENCHMARK.json`` gives; a tie counts for neither side.
 """
 
 import argparse
