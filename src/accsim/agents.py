@@ -442,8 +442,7 @@ def _scan_world(world: World, collect_metrics: bool, speed_acc: list,
                 accel_sum += abs(veh.a)
                 n += 1
             if leader is not None and veh.v > leader.v:
-                ttc = (leader.x - veh.x - leader.length) / (veh.v - leader.v)
-                window_samples.append((veh.id, ttc))
+                window_samples.append((veh.id, compute_ttc(veh, leader)))
             leader = veh
     if collect_metrics:
         speed_acc[0] += speed_sum

@@ -14,6 +14,7 @@ import math
 import os
 import statistics
 import time
+from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -87,6 +88,16 @@ def _pool_imap(fn, tasks: list):
 # The policy kinds that read `PolicySpec.ttc_star`, each with the prefix of
 # its sweep label; every other kind ignores the threshold.
 FIXED_THRESHOLD_KINDS = {"scripted": "scripted-ttc", "fixed-ttc": "fixed-ttc"}
+
+# The kinds that read each swept parameter not every kind reads; every kind
+# reads the parameters left out.  A kind that does not read the swept
+# parameter runs the same episode at every value.  `base` actuates no
+# vehicle, so which vehicles are equipped never reaches its episode; the
+# only trace of the penetration rate is `EpisodeMetrics.penetration`.
+PARAMETER_READERS = {
+    "ttc_star_fixed": frozenset(FIXED_THRESHOLD_KINDS),
+    "penetration": frozenset({"scripted", "fixed-ttc", "saint"}),
+}
 
 
 @dataclass(frozen=True)
@@ -166,7 +177,12 @@ def _run_task(task) -> tuple:
     """Worker entry: evaluate one (system, point, seed) episode."""
     key, scenario, spec, seed = task
     policy = spec.build(scenario)
-    result = run_episode(scenario, policy, mode="eval", seed=seed)
+    try:
+        result = run_episode(scenario, policy, mode="eval", seed=seed)
+    except MetricsError as exc:
+        label, value = key[:2]
+        raise MetricsError(
+            f"sweep task {label} {value:g} seed {seed}: {exc}") from None
     return key, result
 
 
@@ -175,51 +191,72 @@ def _system_label(spec: PolicySpec) -> str:
     return spec.kind if prefix is None else f"{prefix}{spec.ttc_star:g}"
 
 
+def _at_penetration(result: EpisodeResult, value: float) -> EpisodeResult:
+    """A copy of `result` that records penetration `value`."""
+    out = deepcopy(result)
+    out.metrics.penetration = value
+    return out
+
+
 def run_sweep(scenario: Scenario, sweep: SweepSpec,
               progress: Optional[Callable[[str], None]] = None) -> list[SweepRow]:
-    """Evaluate every (system, value, seed) combination with paired seeds."""
+    """Evaluate every (system, value, seed) combination with paired seeds.
+
+    Each distinct episode runs once.  A system that does not read the swept
+    parameter (`PARAMETER_READERS`) would run the same episode at every
+    value: in a `penetration` sweep `base` actuates no vehicle, so it runs
+    once per seed, at the first value, and that result fills the row of
+    every value with `metrics.penetration` set to the row's value.  A
+    `ttc_star_fixed` sweep rejects such a system instead, since its values
+    are the systems' own thresholds.  `progress` gets one message per row.
+    """
+    values = [float(v) for v in sweep.values]
+    for i, value in enumerate(values):
+        if value in values[:i]:  # its rows would collapse into one
+            raise HarnessError(f"sweep value {value:g} is listed twice")
+    readers = PARAMETER_READERS.get(sweep.parameter)
     if sweep.parameter == "ttc_star_fixed":
         for spec in sweep.systems:
-            # any other kind would run the same episode at every value
-            if spec.kind not in FIXED_THRESHOLD_KINDS:
+            if spec.kind not in readers:
                 raise HarnessError(
                     f"ttc_star_fixed sweeps need a fixed-threshold system "
                     f"({' or '.join(FIXED_THRESHOLD_KINDS)}), not {spec.kind!r}")
     tasks = []
+    fills = {}  # task key -> the keys of the rows its result fills
     keys = set()
     for spec in sweep.systems:
-        label = _system_label(spec)
-        for value in sweep.values:
+        shared = readers is not None and spec.kind not in readers
+        for value in values:
             point_scenario = apply_sweep_value(scenario, sweep.parameter, value)
             point_spec = spec
             if sweep.parameter == "ttc_star_fixed":
-                point_spec = replace(spec, ttc_star=float(value))
-                label_v = _system_label(point_spec)
-            else:
-                label_v = label
+                point_spec = replace(spec, ttc_star=value)
+            label = _system_label(point_spec)
             for seed in sweep.seeds():
-                key = (label_v, float(value), seed)
+                key = (label, value, seed)
                 if key in keys:  # its rows would collapse into one
                     raise HarnessError(
-                        f"two systems share the sweep label {label_v!r}")
+                        f"two systems share the sweep label {label!r}")
                 keys.add(key)
-                tasks.append((key, point_scenario, point_spec, seed))
+                if shared and value != values[0]:
+                    fills[(label, values[0], seed)].append(key)
+                else:
+                    fills[key] = [key]
+                    tasks.append((key, point_scenario, point_spec, seed))
     outputs = {}
     start = time.perf_counter()
-
-    def finished(done: int, key: tuple) -> None:
-        if progress:
-            eta = (time.perf_counter() - start) / done * (len(tasks) - done)
-            progress(f"[{done}/{len(tasks)}] {key[0]} {key[1]:g} "
-                     f"seed {key[2]}, eta {eta:.0f}s")
-
     for done, (key, result) in enumerate(_pool_imap(_run_task, tasks), 1):
-        outputs[key] = result
-        finished(done, key)
+        eta = (time.perf_counter() - start) / done * (len(tasks) - done)
+        for row_key in fills[key]:
+            outputs[row_key] = (result if row_key == key
+                                else _at_penetration(result, row_key[1]))
+            if progress:
+                progress(f"[{len(outputs)}/{len(keys)}] {row_key[0]} "
+                         f"{row_key[1]:g} seed {row_key[2]}, eta {eta:.0f}s")
     rows = []
     for key in sorted(outputs):  # deterministic merge order
-        label_v, value, seed = key
-        rows.append(SweepRow(label_v, sweep.parameter, value, outputs[key]))
+        label, value, seed = key
+        rows.append(SweepRow(label, sweep.parameter, value, outputs[key]))
     return rows
 
 

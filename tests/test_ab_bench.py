@@ -25,9 +25,9 @@ def git(repo, *args):
                           capture_output=True, text=True).stdout.strip()
 
 
-def commit_toy(repo, ops, p50):
+def commit_toy(repo, ops, p50, extra=""):
     (repo / "bench" / "run.py").write_text(
-        TOY_RUN.replace("OPS", repr(ops)).replace("P50", repr(p50)))
+        TOY_RUN.replace("OPS", repr(ops)).replace("P50", repr(p50)) + extra)
     git(repo, "add", "-A")
     git(repo, "commit", "-q", "-m", f"ops {ops}")
     return git(repo, "rev-parse", "HEAD")
@@ -112,3 +112,15 @@ def test_recorder_leaves_only_untracked_records_out_of_dirty(tmp_path):
     run_py = repo / "bench" / "run.py"
     run_py.write_text(run_py.read_text() + "# an edit\n")
     assert dirty_after_recording("toy4") is True
+
+
+def test_recorder_marks_dirty_when_a_run_edits_a_tracked_file(tmp_path):
+    repo, _, _ = make_toy_repo(tmp_path)
+    # each head-side run appends to its own tracked source, after the
+    # recorder has started with a clean tree
+    head_sha = commit_toy(repo, 2.0, 5.0, extra=(
+        'open(__file__, "a").write("# edited by a run\\n")\n'))
+    proc = run_recorder(repo)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads((repo / f"BENCH_{head_sha[:7]}_toy.json").read_text())
+    assert rec["head"] == {"sha": head_sha, "dirty": True}

@@ -33,6 +33,7 @@ from accsim.agents import (
     NoAccPolicy,
     ScriptedGapPolicy,
 )
+from accsim.metrics import MetricsError
 from accsim.scenario import load_builtin
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -89,6 +90,11 @@ def test_policy_spec_build_kinds():
     assert isinstance(PolicySpec("saint").build(sc), AdaptivePolicy)
     with pytest.raises(HarnessError):
         PolicySpec("magic").build(sc)
+    # only a policy that makes decisions sees which vehicles are equipped
+    for kind in ("base", "scripted", "fixed-ttc", "saint"):
+        policy = PolicySpec(kind).build(sc)
+        assert (kind in harness.PARAMETER_READERS["penetration"]) == \
+            (policy.controls_gap or policy.adapts_ttc)
 
 
 # ---- statistics vs a reference implementation --------------------------
@@ -193,12 +199,63 @@ def test_sweep_progress_names_position_key_and_eta(monkeypatch):
                       base_seed=50, systems=(PolicySpec("base"),))
     messages = []
     run_sweep(sc, sweep, progress=messages.append)
-    assert len(messages) == 2  # one call per finished task
+    assert len(messages) == 2  # one call per row
     for k, (msg, seed) in enumerate(zip(messages, (50, 51)), 1):
         prefix = f"[{k}/2] base 0.8 seed {seed}, eta "
         assert msg.startswith(prefix) and msg.endswith("s")
         assert float(msg[len(prefix):-1]) >= 0.0
     assert messages[-1].endswith(", eta 0s")
+
+
+@pytest.mark.parametrize("name", ["desk", "onramp", "offramp", "straight"])
+def test_base_penetration_rows_equal_independent_episodes(monkeypatch, name):
+    # base runs once per seed; its other rows copy that result
+    monkeypatch.setenv("ACCSIM_WORKERS", "1")
+    sc = load_builtin(name)
+    sweep = SweepSpec(parameter="penetration", values=(0.0, 1.0), episodes=1,
+                      base_seed=5, systems=(PolicySpec("base"),))
+    rows = run_sweep(sc, sweep)
+    assert [(r.system, r.value) for r in rows] == [("base", 0.0), ("base", 1.0)]
+    for row in rows:
+        point = apply_sweep_value(sc, "penetration", row.value)
+        want = agents.run_episode(point, NoAccPolicy(), mode="eval", seed=5)
+        got = row.result
+        assert got.metrics.csv_row() == want.metrics.csv_row()
+        assert (repr(got.ttc_reward), repr(got.acc_reward),
+                repr(got.final_ttc_star)) == \
+            (repr(want.ttc_reward), repr(want.acc_reward),
+             repr(want.final_ttc_star))
+
+
+def test_penetration_sweep_runs_base_once_per_seed(monkeypatch):
+    monkeypatch.setenv("ACCSIM_WORKERS", "1")
+    ran = []
+    run_task = harness._run_task
+
+    def counted(task):
+        ran.append(task[0])
+        return run_task(task)
+
+    monkeypatch.setattr(harness, "_run_task", counted)
+    sweep = SweepSpec(parameter="penetration", values=(0.4, 0.8), episodes=2,
+                      base_seed=50,
+                      systems=(PolicySpec("base"), PolicySpec("scripted"),
+                               PolicySpec("saint")))
+    messages = []
+    rows = run_sweep(load_builtin("desk"), sweep, progress=messages.append)
+    assert len(rows) == 12 and len(ran) == 10
+    assert [key for key in ran if key[0] == "base"] == \
+        [("base", 0.4, 50), ("base", 0.4, 51)]
+    # one progress call per row, counting rows
+    assert len(messages) == 12
+    assert [m.split("]")[0] for m in messages] == \
+        [f"[{k}/12" for k in range(1, 13)]
+    base = {(r.value, r.result.metrics.seed): r.result.metrics
+            for r in rows if r.system == "base"}
+    for seed in (50, 51):
+        assert base[(0.8, seed)].penetration == 0.8
+        assert base[(0.8, seed)] == replace(base[(0.4, seed)],
+                                            penetration=0.8)
 
 
 def test_ttc_star_fixed_sweep_labels():
@@ -224,6 +281,32 @@ def test_sweep_rejects_repeated_label_before_any_episode(monkeypatch):
     with pytest.raises(HarnessError, match="'saint'"):
         run_sweep(load_builtin("desk"), sweep)
     assert tasks == []
+
+
+def test_sweep_rejects_repeated_value_before_any_episode(monkeypatch):
+    monkeypatch.setenv("ACCSIM_WORKERS", "1")
+    tasks = []
+    monkeypatch.setattr(harness, "_run_task", tasks.append)
+    sweep = SweepSpec(parameter="penetration", values=(0.8, 0.8), episodes=1,
+                      base_seed=50, systems=(PolicySpec("base"),))
+    with pytest.raises(HarnessError, match="sweep value 0.8 is listed twice"):
+        run_sweep(load_builtin("desk"), sweep)
+    assert tasks == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_sweep_episode_names_its_task(monkeypatch, workers):
+    # a 15 s desk episode completes no traversal
+    monkeypatch.setenv("ACCSIM_WORKERS", workers)
+    sc = load_builtin("desk")
+    sc = sc.replace(run=replace(sc.run, episode_duration=15.0,
+                                warmup_duration=5.0))
+    sweep = SweepSpec(parameter="penetration", values=(0.8,), episodes=2,
+                      base_seed=50, systems=(PolicySpec("scripted"),))
+    with pytest.raises(MetricsError,
+                       match=r"sweep task scripted-ttc4 0\.8 seed 5[01]: "
+                             r"episode degenerate"):
+        run_sweep(sc, sweep)
 
 
 @pytest.mark.parametrize("kind", ["saint", "base"])
@@ -279,13 +362,18 @@ def test_train_many_matches_serial_train_in_seed_order(monkeypatch):
             [e.metrics for e in want.episodes]
 
 
-def test_sweep_rows_equal_with_one_and_two_workers(monkeypatch, small_sweep):
-    sc, sweep, rows = small_sweep
+@pytest.mark.parametrize("values", [(0.8,), (0.4, 0.8)])
+def test_sweep_rows_equal_with_one_and_two_workers(monkeypatch, small_sweep,
+                                                   values):
+    sc, sweep, _ = small_sweep
+    sweep = replace(sweep, values=values)
+    runs = []
     for n in ("1", "2"):
         monkeypatch.setenv("ACCSIM_WORKERS", n)
-        again = run_sweep(sc, sweep)
-        assert [(r.system, r.value, r.result.metrics) for r in again] == \
-            [(r.system, r.value, r.result.metrics) for r in rows]
+        runs.append([(r.system, r.value, r.result.metrics)
+                     for r in run_sweep(sc, sweep)])
+    assert len(runs[0]) == 4 * len(values)
+    assert runs[0] == runs[1]
 
 
 def test_train_calls_harness_run_episode_once_per_episode(monkeypatch):

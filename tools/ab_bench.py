@@ -14,8 +14,9 @@ last line of standard output is its JSON result.
 The record goes to ``BENCH_<short head sha>_<workload>.json`` at the
 repository root; if that file exists the recorder refuses to start, so no
 record is overwritten.  It holds both SHAs and whether the working tree had
-uncommitted changes (untracked ``BENCH_*.json`` records aside, so a second
-record of the same commit is not marked by the first), the usable core
+uncommitted changes before any head-side run or after the last pair
+(untracked ``BENCH_*.json`` records aside, so a second record of the same
+commit is not marked by the first), the usable core
 count, the run length, every run's ``correct``, ``attempted``, ``failed``
 and end-to-end metric values, and per metric each side's median and
 quartiles (inclusive method) and the pairs each side won in the direction
@@ -113,7 +114,7 @@ def record(root: Path, args) -> Path:
     benchmark = json.loads((root / "BENCHMARK.json").read_text())
     base_sha = git(root, "rev-parse", "--verify", f"{args.base}^{{commit}}")
     head_sha = git(root, "rev-parse", "HEAD")
-    dirty = tree_is_dirty(root)
+    dirty = False
     out = root / f"BENCH_{head_sha[:7]}_{args.workload}.json"
     if out.exists():
         raise SystemExit(f"{out} exists; move it aside to record again")
@@ -128,6 +129,8 @@ def record(root: Path, args) -> Path:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     tree = base_tree if side == "base" else root
+                    if side == "head":
+                        dirty |= tree_is_dirty(root)
                     pair[side] = run_bench(tree, benchmark["command"],
                                            args.workload, seed)
                 pairs.append(pair)
@@ -137,6 +140,7 @@ def record(root: Path, args) -> Path:
                     for name in ("ops_per_s", "vehicle_steps_per_s")
                     if name in pair["base"]["metrics"]),
                     file=sys.stderr, flush=True)
+            dirty |= tree_is_dirty(root)
         finally:
             git(root, "worktree", "remove", "--force", str(base_tree))
     out.write_text(json.dumps({
