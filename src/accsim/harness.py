@@ -93,7 +93,8 @@ FIXED_THRESHOLD_KINDS = {"scripted": "scripted-ttc", "fixed-ttc": "fixed-ttc"}
 # reads the parameters left out.  A kind that does not read the swept
 # parameter runs the same episode at every value.  `base` actuates no
 # vehicle, so which vehicles are equipped never reaches its episode; the
-# only trace of the penetration rate is `EpisodeMetrics.penetration`.
+# only trace of the penetration rate is `EpisodeMetrics.penetration`, which
+# `run_sweep` sets on each row it fills from a shared episode.
 PARAMETER_READERS = {
     "ttc_star_fixed": frozenset(FIXED_THRESHOLD_KINDS),
     "penetration": frozenset({"scripted", "fixed-ttc", "saint"}),

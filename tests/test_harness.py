@@ -362,7 +362,8 @@ def test_train_many_matches_serial_train_in_seed_order(monkeypatch):
             [e.metrics for e in want.episodes]
 
 
-@pytest.mark.parametrize("values", [(0.8,), (0.4, 0.8)])
+@pytest.mark.parametrize("values", [(0.8,), (0.4, 0.8)],
+                         ids=["one-value", "two-values"])
 def test_sweep_rows_equal_with_one_and_two_workers(monkeypatch, small_sweep,
                                                    values):
     sc, sweep, _ = small_sweep
