@@ -426,14 +426,20 @@ class EpisodeResult:
     ttc_reward: float
     acc_reward: float
     final_ttc_star: float
+    decision_latency_ms: list[float]  # empty unless measure_latency
 
 
 def _scan_world(world: World, collect_metrics: bool, speed_acc: list,
-                window_samples: list) -> None:
-    """One pass over all vehicles: metrics accumulation + danger sampling."""
+                flagged: set, ttc_star: float, control: bool) -> list:
+    """One pass over all vehicles: metrics accumulation and danger flags.
+
+    Closing-pair followers with TTC below `ttc_star` join `flagged`; on a
+    `control` step the closing pairs' TTCs are returned in walk order.
+    """
     speed_sum = 0.0
     accel_sum = 0.0
     n = 0
+    ttcs: list[float] = []
     for lid in world.lane_ids:
         leader = None
         for veh in world.lanes[lid]:
@@ -442,12 +448,17 @@ def _scan_world(world: World, collect_metrics: bool, speed_acc: list,
                 accel_sum += abs(veh.a)
                 n += 1
             if leader is not None and veh.v > leader.v:
-                window_samples.append((veh.id, compute_ttc(veh, leader)))
+                ttc = compute_ttc(veh, leader)
+                if ttc < ttc_star:
+                    flagged.add(veh.id)
+                if control:
+                    ttcs.append(ttc)
             leader = veh
     if collect_metrics:
         speed_acc[0] += speed_sum
         speed_acc[1] += accel_sum
         speed_acc[2] += n
+    return ttcs
 
 
 def _broadcast_gap(world: World, gap: float) -> None:
@@ -543,7 +554,7 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
     if decides:
         decide(True, False, 0.0, 0.0)
 
-    window_samples: list[tuple[int, float]] = []
+    flagged: set[int] = set()  # followers flagged in the current window
     window_event_start = len(world.events)
     completed_start = 0
     metrics_tally = SafetyTally()
@@ -558,9 +569,10 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
     for step in range(n_steps):
         world.step()
         past_warmup = world.time >= warmup
-        step_start = len(window_samples)
-        _scan_world(world, past_warmup, speed_acc, window_samples)
-        if world.step_index % spc != 0:
+        control = world.step_index % spc == 0
+        step_ttcs = _scan_world(world, past_warmup, speed_acc, flagged,
+                                ttc_star, control)
+        if not control:
             continue
         is_last = step == n_steps - 1
         ctrl_ticks += 1
@@ -587,8 +599,7 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
 
         r_e = reward_acc_efficiency(mean_delay, geometry.mainline_length,
                                     run.congestion_speed)
-        r_s = reward_acc_safety((ttc for _, ttc in window_samples[step_start:]),
-                                ttc_star)
+        r_s = reward_acc_safety(step_ttcs, ttc_star)
         rms_jerk = math.sqrt(equipped_jerk_sq / equipped_n) if equipped_n else 0.0
         r_c = reward_acc_comfort(rms_jerk, max_jerk)
         r_acc = reward_acc_total(r_e, r_s, r_c, weights)
@@ -598,13 +609,13 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
         ttc_tick = ctrl_ticks % ttc_every == 0 or is_last
         if ttc_tick:
             tally = classify_safety_events(
-                window_samples, world.events[window_event_start:], ttc_star)
+                flagged, world.events[window_event_start:])
             if past_warmup:
                 metrics_tally.fp += tally.fp
                 metrics_tally.fn += tally.fn
             r_ttc = reward_ttc(tally, weights)
             ttc_reward_sum += r_ttc
-            window_samples = []
+            flagged.clear()
             window_event_start = len(world.events)
 
         if decides:
@@ -617,10 +628,9 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
 
     nc = sum(1 for e in world.events
              if e.kind == EVENT_NEAR_COLLISION and e.time >= warmup)
-    ac = sum(1 for e in world.events
-             if e.kind == EVENT_ACTUAL_COLLISION and e.time >= warmup)
-    metrics_tally.ac = ac
-    metrics_tally.near_collisions = nc
+    metrics_tally.ac = sum(1 for e in world.events
+                           if e.kind == EVENT_ACTUAL_COLLISION
+                           and e.time >= warmup)
     delays = [d for t_done, d in world.all_completed if t_done >= warmup]
     if not delays:
         raise MetricsError(
@@ -637,6 +647,6 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
         mean_delay=sum(delays) / len(delays),
         mean_abs_accel=speed_acc[1] / speed_acc[2] if speed_acc[2] else 0.0,
         mean_sq_jerk=jerk_sq_sum / jerk_samples if jerk_samples else 0.0,
-        decision_latency_ms=latencies,
     )
-    return EpisodeResult(metrics, ttc_reward_sum, acc_reward_sum, ttc_star)
+    return EpisodeResult(metrics, ttc_reward_sum, acc_reward_sum, ttc_star,
+                         latencies)

@@ -571,7 +571,7 @@ def measure_latency(scenario: Scenario, policy: ControlPolicy, *,
     while len(latencies) < min_decisions:
         res = run_episode(scenario, policy, mode="eval", seed=seed,
                           measure_latency=True)
-        latencies.extend(res.metrics.decision_latency_ms)
+        latencies.extend(res.decision_latency_ms)
         seed += 1
         if seed - base_seed > 200:
             raise HarnessError("latency run failed to accumulate decisions")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .simcore import (
@@ -48,41 +48,27 @@ class SafetyTally:
     fp: int = 0
     fn: int = 0
     ac: int = 0
-    near_collisions: int = 0
 
 
-def classify_safety_events(
-    ttc_samples: Iterable[tuple[int, float]],
-    events: Iterable[TimedEvent],
-    ttc_star: float,
-) -> SafetyTally:
+def classify_safety_events(flagged: set[int],
+                           events: Iterable[TimedEvent]) -> SafetyTally:
     """Classify one decision window into FP / FN / AC counts.
 
-    ``ttc_samples`` are (follower_id, ttc) pairs observed during the window;
-    ``events`` are the near-collision / collision events logged in it.  Per
-    follower: a danger flag without a registered near collision is an FP, a
-    near collision without any flag is an FN.  Actual collisions count
-    unconditionally.
+    ``flagged`` holds the followers whose TTC fell below the window's danger
+    threshold; ``events`` are the near-collision / collision events logged
+    in the window.  Per follower: a danger flag without a registered near
+    collision is an FP, a near collision without any flag is an FN.  Actual
+    collisions count unconditionally.
     """
-    flagged: set[int] = set()
-    for fid, ttc in ttc_samples:
-        if ttc < ttc_star:
-            flagged.add(fid)
     nc_followers: set[int] = set()
-    nc_count = 0
     ac_count = 0
     for ev in events:
         if ev.kind == EVENT_NEAR_COLLISION:
             nc_followers.add(ev.subject)
-            nc_count += 1
         elif ev.kind == EVENT_ACTUAL_COLLISION:
             ac_count += 1
-    return SafetyTally(
-        fp=len(flagged - nc_followers),
-        fn=len(nc_followers - flagged),
-        ac=ac_count,
-        near_collisions=nc_count,
-    )
+    return SafetyTally(fp=len(flagged - nc_followers),
+                       fn=len(nc_followers - flagged), ac=ac_count)
 
 
 @dataclass
@@ -97,7 +83,6 @@ class EpisodeMetrics:
     mean_delay: float
     mean_abs_accel: float
     mean_sq_jerk: float
-    decision_latency_ms: list = field(default_factory=list)
 
     def csv_row(self) -> list:
         return [

@@ -64,7 +64,7 @@ class TimedEvent(NamedTuple):
 class Vehicle:
     __slots__ = (
         "id", "x", "v", "a", "length", "lane", "sigma", "tau",
-        "max_accel", "max_decel", "equipped", "gap_cmd", "danger_ttc",
+        "accel_bound", "equipped", "gap_cmd", "danger_ttc",
         "danger_latch", "route", "spawn_time", "ctrl_accel_prev",
     )
 
@@ -79,8 +79,7 @@ class Vehicle:
         self.lane = lane
         self.sigma = sigma
         self.tau = tau
-        self.max_accel = accel_bound
-        self.max_decel = accel_bound
+        self.accel_bound = accel_bound  # |acceleration| limit, both ways
         self.equipped = equipped
         self.gap_cmd = 10.0
         self.danger_ttc = 4.0  # TTC below which the ACC brakes hard
@@ -125,7 +124,7 @@ def acc_target_gap_control(follower: Vehicle, leader_v: float,
     saturates the bound and the gap dips into near-collision territory.
     Without a leader this is a free-flow cruise controller.
     """
-    bound = follower.max_accel
+    bound = follower.accel_bound
     v = follower.v
     if leader_rear is None:
         follower.danger_latch = False
@@ -142,22 +141,21 @@ def acc_target_gap_control(follower: Vehicle, leader_v: float,
             # Early detection (high threshold) also aims farther out.
             aim = ACC_MIN_STANDOFF + ACC_STANDOFF_PER_TTC * follower.danger_ttc
             slack = gap - aim
-            decel = follower.max_decel
             # last-resort guard: decel that stops the closing speed at the aim
-            need = decel if slack <= 0.0 else closing * closing / (2.0 * slack)
-            if need >= decel or gap < closing * follower.danger_ttc:
+            need = bound if slack <= 0.0 else closing * closing / (2.0 * slack)
+            if need >= bound or gap < closing * follower.danger_ttc:
                 # the reaction latches until the closing speed is resolved,
                 # so it cannot flicker off while the leader keeps braking
                 follower.danger_latch = True
             if follower.danger_latch:
                 # detected danger: anticipate that the leader may brake to a
                 # stop, and keep enough margin to stop behind it
-                stop_room = slack + leader_v * leader_v / (2.0 * decel)
+                stop_room = slack + leader_v * leader_v / (2.0 * bound)
                 if stop_room > 0.0:
                     need = max(need, v * v / (2.0 * stop_room))
                 else:
-                    need = decel
-                a = min(a, -min(need, decel))
+                    need = bound
+                a = min(a, -min(need, bound))
         else:
             follower.danger_latch = False
         if v + a * dt > FREE_FLOW_SPEED:
@@ -342,7 +340,7 @@ class World:
         """
         leader, follower, _ = self._neighbors(self.lanes[target], veh.x)
         relax = 1.0 - 0.7 * min(urgency, 1.0)
-        bound = veh.max_decel
+        bound = veh.accel_bound
         base = self.run.min_gap_for_near_collision  # never cut in inside the band
         if leader is not None:
             lead_gap = leader.x - leader.length - veh.x
@@ -392,7 +390,7 @@ class World:
         gap = leader.x - leader.length - veh.x
         v_here = min(FREE_FLOW_SPEED,
                      krauss_safe_speed(veh.v, leader.v, gap, veh.tau,
-                                       veh.max_decel))
+                                       veh.accel_bound))
         if v_here > veh.v - 1.0:
             return None
         best, best_gain = None, 2.0
@@ -408,7 +406,7 @@ class World:
                 t_gap = t_leader.x - t_leader.length - veh.x
                 v_there = min(FREE_FLOW_SPEED,
                               krauss_safe_speed(veh.v, t_leader.v, t_gap,
-                                                veh.tau, veh.max_decel))
+                                                veh.tau, veh.accel_bound))
             gain = v_there - v_here
             if gain > best_gain and self._gap_acceptable(veh, target, 0.0):
                 best, best_gain = target, gain
@@ -455,6 +453,7 @@ class World:
             for veh in lane:
                 v = veh.v
                 x = veh.x
+                bound = veh.accel_bound
                 if veh.equipped and acc_enabled:
                     a = acc_target_gap_control(veh, leader_v, leader_rear,
                                                veh.gap_cmd, dt)
@@ -462,10 +461,9 @@ class World:
                 else:
                     if leader_rear is not None:
                         v_safe = krauss_safe_speed(v, leader_v, leader_rear - x,
-                                                   veh.tau, veh.max_decel)
+                                                   veh.tau, bound)
                     else:
                         v_safe = FREE_FLOW_SPEED
-                    bound = veh.max_accel
                     v_new = v + bound * dt
                     if v_new > FREE_FLOW_SPEED:
                         v_new = FREE_FLOW_SPEED
@@ -478,12 +476,12 @@ class World:
                     # distance, so mergers can match mainline speed first;
                     # overruns despawn (teleport analog)
                     wall_gap = wall - x - 2.0
-                    if wall_gap < v * v / (2.0 * veh.max_decel) + 15.0:
+                    if wall_gap < v * v / (2.0 * bound) + 15.0:
                         v_wall = krauss_safe_speed(v, 0.0, wall_gap, 0.5,
-                                                   veh.max_decel)
+                                                   bound)
                         if v_new > v_wall:
                             v_new = v_wall
-                floor = v - veh.max_decel * dt
+                floor = v - bound * dt
                 if v_new < floor:
                     v_new = floor
                 if v_new < 0.0:

@@ -1,15 +1,15 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 The full run trains models and takes roughly 20-30 minutes single
-threaded. Set ACCSIM_ACCEPTANCE_CACHE to a directory to reuse trained
-checkpoints across runs, and ACCSIM_WORKERS to parallelize sweeps.
+threaded.  The `checkpoints` fixture (in conftest.py) trains in the
+background from the end of collection on.  Set ACCSIM_ACCEPTANCE_CACHE to a
+directory to reuse trained checkpoints across runs, and ACCSIM_WORKERS to
+parallelize sweeps.
 """
 
 import math
-import os
 import random
 import statistics
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +34,6 @@ from accsim.harness import (
     run_sweep,
     spearman,
     summarize,
-    train,
     train_many,
     write_sweep_csv,
 )
@@ -58,19 +57,6 @@ def report(capsys, num, ok, detail):
 
 
 # ---- shared trained artifacts ------------------------------------------
-
-
-@pytest.fixture(scope="session")
-def checkpoints(tmp_path_factory):
-    """Trained adaptive-stack checkpoints on the on-ramp scenario."""
-    cache = os.environ.get("ACCSIM_ACCEPTANCE_CACHE")
-    out = Path(cache) if cache else tmp_path_factory.mktemp("saint")
-    out.mkdir(parents=True, exist_ok=True)
-    acc, ttc = out / "acc_agent.ckpt", out / "ttc_agent.ckpt"
-    if not (acc.exists() and ttc.exists()):
-        train(load_builtin("onramp"), system="saint", episodes=500, seed=0,
-              out_dir=out, checkpoint_every=500)
-    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,14 @@
 """Oracle tests for TTC, safety-event classification, and aggregation."""
 
 import math
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from accsim.agents import ScriptedGapPolicy, run_episode
+from accsim.agents import ScriptedGapPolicy, _scan_world, run_episode
 from accsim.metrics import (
     EPISODE_CSV_COLUMNS,
     EpisodeMetrics,
@@ -16,13 +17,16 @@ from accsim.metrics import (
     classify_safety_events,
     compute_ttc,
 )
-from accsim.scenario import ROUTE_THROUGH, load_builtin
+from accsim.scenario import ROUTE_THROUGH, RoadGeometry, RunConfig, load_builtin
 from accsim.simcore import (
     EVENT_ACTUAL_COLLISION,
     EVENT_NEAR_COLLISION,
     TimedEvent,
+    Vehicle,
     World,
 )
+
+from random_worlds import random_world
 
 
 def veh(x, v, length=5.0):
@@ -83,39 +87,153 @@ def ev(kind, subject, t=0.0, obj=None):
 
 
 def test_classify_fp_fn_ac_counts():
-    samples = [(1, 2.0), (2, 3.9), (3, 6.0)]  # 1 and 2 flagged at ttc*=4
+    flagged = {1, 2}  # followers 1 and 2 fell below the threshold
     events = [ev(EVENT_NEAR_COLLISION, 2), ev(EVENT_NEAR_COLLISION, 4),
               ev(EVENT_ACTUAL_COLLISION, 9)]
-    tally = classify_safety_events(samples, events, ttc_star=4.0)
+    tally = classify_safety_events(flagged, events)
     assert tally.fp == 1      # follower 1 flagged, no NC
     assert tally.fn == 1      # follower 4 NC without flag
     assert tally.ac == 1
-    assert tally.near_collisions == 2
-
-
-def test_classify_flag_threshold_is_strict():
-    tally = classify_safety_events([(1, 4.0)], [], ttc_star=4.0)
-    assert tally.fp == 0  # ttc == threshold is not dangerous
-    tally = classify_safety_events([(1, 3.999999)], [], ttc_star=4.0)
-    assert tally.fp == 1
-
-
-def test_classify_deduplicates_by_follower():
-    samples = [(1, 1.0), (1, 2.0), (1, 0.5)]
-    tally = classify_safety_events(samples, [], ttc_star=4.0)
-    assert tally.fp == 1
 
 
 def test_classify_flagged_with_nc_is_neither_fp_nor_fn():
-    tally = classify_safety_events([(7, 1.0)], [ev(EVENT_NEAR_COLLISION, 7)],
-                                   ttc_star=4.0)
+    tally = classify_safety_events({7}, [ev(EVENT_NEAR_COLLISION, 7)])
     assert tally.fp == 0 and tally.fn == 0
-    assert tally.near_collisions == 1
 
 
 def test_classify_empty_window():
-    tally = classify_safety_events([], [], ttc_star=4.0)
-    assert (tally.fp, tally.fn, tally.ac, tally.near_collisions) == (0, 0, 0, 0)
+    tally = classify_safety_events(set(), [])
+    assert (tally.fp, tally.fn, tally.ac) == (0, 0, 0)
+
+
+# ---- danger flags: the episode scan ---------------------------------------
+
+
+def single_lane_world(*vehicles):
+    """A one-lane world holding `vehicles` (x, v) front first, 5 m long."""
+    geometry = RoadGeometry(mainline_length=500.0, lane_count=1,
+                            ramp_kind="none")
+    world = World(geometry, RunConfig(episode_duration=10.0,
+                                      warmup_duration=0.0), [], seed=0)
+    world.lanes[0] = [Vehicle(vid, x, v, 5.0, 0, 0.0, 1.0, 2.6, False,
+                              ROUTE_THROUGH, 0.0)
+                      for vid, (x, v) in enumerate(vehicles)]
+    return world
+
+
+def test_scan_flag_threshold_is_strict():
+    # leader at 100 m doing 20, follower doing 30: bumper gap / 10 m/s
+    world = single_lane_world((100.0, 20.0), (55.0, 30.0))
+    flagged = set()
+    ttcs = _scan_world(world, False, [0.0, 0.0, 0], flagged, 4.0, True)
+    assert ttcs == [4.0] and flagged == set()  # ttc == threshold: no danger
+    world = single_lane_world((100.0, 20.0), (55.00001, 30.0))
+    ttcs = _scan_world(world, False, [0.0, 0.0, 0], flagged, 4.0, True)
+    assert ttcs == [pytest.approx(3.999999)] and flagged == {1}
+
+
+def test_classify_deduplicates_by_follower():
+    # a follower flagged at every step of the window is one flag
+    world = single_lane_world((100.0, 20.0), (55.0, 30.0))
+    flagged = set()
+    for _ in range(3):
+        _scan_world(world, False, [0.0, 0.0, 0], flagged, 5.0, False)
+    assert classify_safety_events(flagged, []).fp == 1
+    # and a follower with two near-collision onsets is one miss
+    events = [ev(EVENT_NEAR_COLLISION, 4), ev(EVENT_NEAR_COLLISION, 4, t=1.0)]
+    assert classify_safety_events(set(), events).fn == 1
+
+
+def reference_scan(world, collect_metrics, speed_acc, window_samples):
+    """The previous `_scan_world`: metrics accumulation plus one
+    (follower id, TTC) sample per closing pair, kept for the window."""
+    speed_sum = 0.0
+    accel_sum = 0.0
+    n = 0
+    for lid in world.lane_ids:
+        leader = None
+        for veh in world.lanes[lid]:
+            if collect_metrics:
+                speed_sum += veh.v
+                accel_sum += abs(veh.a)
+                n += 1
+            if leader is not None and veh.v > leader.v:
+                window_samples.append((veh.id, compute_ttc(veh, leader)))
+            leader = veh
+    if collect_metrics:
+        speed_acc[0] += speed_sum
+        speed_acc[1] += accel_sum
+        speed_acc[2] += n
+
+
+def reference_flags(ttc_samples, ttc_star):
+    return {fid for fid, ttc in ttc_samples if ttc < ttc_star}
+
+
+def reference_classify(ttc_samples, events, ttc_star):
+    """The previous `classify_safety_events`: flags rebuilt from the
+    window's samples at classification time; (fp, fn, ac)."""
+    flagged = reference_flags(ttc_samples, ttc_star)
+    nc_followers = set()
+    ac = 0
+    for e in events:
+        if e.kind == EVENT_NEAR_COLLISION:
+            nc_followers.add(e.subject)
+        elif e.kind == EVENT_ACTUAL_COLLISION:
+            ac += 1
+    return len(flagged - nc_followers), len(nc_followers - flagged), ac
+
+
+def bits(values):
+    return [float(x).hex() for x in values]
+
+
+def test_flag_set_matches_per_sample_reference_on_random_worlds():
+    """Over two-control-interval windows of stepped random worlds, the
+    set-based window gives the per-sample scan's flags, FP/FN/AC counts,
+    control-step TTC lists and metric sums, bit for bit.  Besides a fixed
+    grid, every window is classified at the TTCs its first step observed,
+    where a flag compared with <= instead of < would differ."""
+    rng = random.Random(21)
+    grid = (0.0, 0.5, 2.0, 4.0, 10.0, math.inf)
+    ttc_lists = flags_seen = nc_seen = ac_seen = 0
+    for _ in range(150):
+        world = random_world(rng)
+        spc = world.run.steps_per_control
+        collect = rng.random() < 0.5
+        event_start = len(world.events)
+        samples = []
+        ref_acc = [0.0, 0.0, 0]
+        scans = None  # threshold -> (flagged, speed_acc)
+        for _ in range(2 * spc):
+            world.step()
+            control = world.step_index % spc == 0
+            step_start = len(samples)
+            reference_scan(world, collect, ref_acc, samples)
+            if scans is None:
+                observed = sorted({ttc for _, ttc in samples})[:3]
+                scans = {t: (set(), [0.0, 0.0, 0])
+                         for t in (*grid, *observed)}
+            want_ttcs = [ttc for _, ttc in samples[step_start:]]
+            for ttc_star, (flagged, acc) in scans.items():
+                got = _scan_world(world, collect, acc, flagged, ttc_star,
+                                  control)
+                assert bits(got) == (bits(want_ttcs) if control else [])
+            ttc_lists += control and bool(want_ttcs)
+        events = world.events[event_start:]
+        for ttc_star, (flagged, acc) in scans.items():
+            assert flagged == reference_flags(samples, ttc_star)
+            tally = classify_safety_events(flagged, events)
+            assert (tally.fp, tally.fn, tally.ac) == reference_classify(
+                samples, events, ttc_star)
+            assert bits(acc[:2]) == bits(ref_acc[:2])
+            assert acc[2] == ref_acc[2]
+            flags_seen += len(flagged)
+        nc_seen += any(e.kind == EVENT_NEAR_COLLISION for e in events)
+        ac_seen += any(e.kind == EVENT_ACTUAL_COLLISION for e in events)
+    # the cases exercised flags, TTC lists and both event kinds
+    assert flags_seen > 100 and ttc_lists > 50
+    assert nc_seen > 10 and ac_seen > 10
 
 
 # ---- aggregation --------------------------------------------------------
@@ -189,7 +307,7 @@ def test_csv_row_matches_column_order():
     m = EpisodeMetrics(
         seed=7, scenario="onramp", penetration=0.8, ramp_flow=1200.0,
         near_collisions=3,
-        tally=SafetyTally(fp=5, fn=2, ac=1, near_collisions=3),
+        tally=SafetyTally(fp=5, fn=2, ac=1),
         mean_speed=30.0, mean_delay=50.0, mean_abs_accel=0.25,
         mean_sq_jerk=0.125)
     row = m.csv_row()

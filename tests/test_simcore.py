@@ -296,7 +296,7 @@ def reference_longitudinal(self, dt):
         leader = None
         for veh in lane:
             v = veh.v
-            bound = veh.max_accel
+            bound = veh.accel_bound
             if veh.equipped and self.acc_enabled:
                 if leader is None:
                     a = acc_target_gap_control(veh, 0.0, None, veh.gap_cmd, dt)
@@ -309,7 +309,7 @@ def reference_longitudinal(self, dt):
                 if leader is not None:
                     gap = leader.x - leader.length - veh.x
                     v_safe = krauss_safe_speed(v, leader.v, gap, veh.tau,
-                                               veh.max_decel)
+                                               veh.accel_bound)
                 else:
                     v_safe = FREE_FLOW_SPEED
                 v_new = v + bound * dt
@@ -321,12 +321,12 @@ def reference_longitudinal(self, dt):
                     v_new -= veh.sigma * bound * dt * rng_random()
             if lid == RAMP_LANE and on_ramp_end is not None:
                 wall_gap = on_ramp_end - veh.x - 2.0
-                if wall_gap < v * v / (2.0 * veh.max_decel) + 15.0:
+                if wall_gap < v * v / (2.0 * veh.accel_bound) + 15.0:
                     v_wall = krauss_safe_speed(v, 0.0, wall_gap, 0.5,
-                                               veh.max_decel)
+                                               veh.accel_bound)
                     if v_new > v_wall:
                         v_new = v_wall
-            floor = v - veh.max_decel * dt
+            floor = v - veh.accel_bound * dt
             if v_new < floor:
                 v_new = floor
             if v_new < 0.0:
