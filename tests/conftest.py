@@ -21,6 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from accsim.harness import train
+from accsim.scenario import load_builtin
+
 CHECKPOINT_FILES = ("acc_agent.ckpt", "ttc_agent.ckpt")
 TRAIN_TIMEOUT_S = 3600
 _training: dict = {}  # "out", and "process" and "scratch" once started
@@ -30,9 +33,6 @@ def _train_checkpoints(out: str, error_log: str) -> None:
     """The acceptance training run; on failure its traceback goes to
     `error_log` and the process exits with code 1."""
     try:
-        from accsim.harness import train
-        from accsim.scenario import load_builtin
-
         train(load_builtin("onramp"), system="saint", episodes=500, seed=0,
               out_dir=out, checkpoint_every=500)
     except BaseException:
