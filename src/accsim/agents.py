@@ -27,7 +27,7 @@ from .metrics import (
     compute_ttc,
 )
 from .rlcore import AdamState, EpsilonSchedule, QNetwork, ReplayBuffer
-from .scenario import RAMP_LANE, Scenario, spawn_schedule
+from .scenario import RAMP_LANE, AgentConfig, Scenario, spawn_schedule
 from .simcore import World
 
 STATE_DIM = 13
@@ -45,13 +45,6 @@ def ttc_star_from_index(index: int) -> float:
     return 0.5 * index
 
 
-def index_from_ttc_star(ttc_star: float) -> int:
-    index = round(ttc_star / 0.5)
-    if not 0 <= index < TTC_ACTION_COUNT or abs(0.5 * index - ttc_star) > 1e-9:
-        raise ValueError(f"threshold {ttc_star} not on the 0.5 s action grid")
-    return index
-
-
 def gap_from_index(index: int) -> float:
     """Action index 0..24 -> commanded gap 1..25 m."""
     if not 0 <= index < GAP_ACTION_COUNT:
@@ -59,32 +52,10 @@ def gap_from_index(index: int) -> float:
     return float(index + 1)
 
 
-def index_from_gap(gap: float) -> int:
-    index = round(gap) - 1
-    if not 0 <= index < GAP_ACTION_COUNT or abs(index + 1 - gap) > 1e-9:
-        raise ValueError(f"gap {gap} not on the 1 m action grid")
-    return index
-
-
-@dataclass(frozen=True)
-class RewardWeights:
-    alpha_fp: float = 1.0
-    alpha_fn: float = 2.0
-    alpha_ac: float = 10.0
-    beta_efficiency: float = 1.0
-    beta_safety: float = 1.0
-    beta_comfort: float = 1.0
-
-    @classmethod
-    def from_config(cls, cfg) -> "RewardWeights":
-        return cls(cfg.alpha_fp, cfg.alpha_fn, cfg.alpha_ac,
-                   cfg.beta_efficiency, cfg.beta_safety, cfg.beta_comfort)
-
-
 # ---- rewards -----------------------------------------------------------
 
 
-def reward_ttc(tally: SafetyTally, weights: RewardWeights) -> float:
+def reward_ttc(tally: SafetyTally, weights: AgentConfig) -> float:
     """Threshold-agent reward: weighted negative FP/FN/collision counts."""
     return -(weights.alpha_fp * tally.fp
              + weights.alpha_fn * tally.fn
@@ -126,7 +97,7 @@ def reward_acc_comfort(jerk: float, max_jerk: float) -> float:
 
 
 def reward_acc_total(r_efficiency: float, r_safety: float, r_comfort: float,
-                     weights: RewardWeights) -> float:
+                     weights: AgentConfig) -> float:
     return (weights.beta_efficiency * r_efficiency
             + weights.beta_safety * r_safety
             + weights.beta_comfort * r_comfort)
@@ -304,11 +275,12 @@ class ControlPolicy:
     """Protocol for what drives equipped vehicles during an episode.
 
     `acc_agent` and `ttc_agent` are the gap and threshold learners, or
-    None; `run_episode` trains whichever of them are present.
+    None; `run_episode` trains whichever of them are present.  Only a
+    policy that `controls_gap` makes decisions: `gap_action` at each, and
+    `ttc_action` at each threshold decision when it has a `ttc_agent`.
     """
 
     controls_gap = False
-    adapts_ttc = False
     initial_ttc_star = 4.0
     acc_agent: DqnAgent | None = None
     ttc_agent: DqnAgent | None = None
@@ -365,7 +337,6 @@ class AdaptivePolicy(ControlPolicy):
                  initial_ttc_star: float = 4.0):
         self.acc_agent = acc_agent
         self.ttc_agent = ttc_agent
-        self.adapts_ttc = ttc_agent is not None
         self.initial_ttc_star = initial_ttc_star
         self._ttc_filtered: float | None = None
 
@@ -498,7 +469,7 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
     train = mode == "train"
     scenario.validate()
     geometry, run, demand = scenario.geometry, scenario.run, scenario.demand
-    weights = RewardWeights.from_config(scenario.agents)
+    weights = scenario.agents
 
     schedule_rng = random.Random(seed)
     schedule = spawn_schedule(demand, geometry, run.episode_duration,
@@ -531,15 +502,14 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
         nonlocal ttc_star, pending_gap, pending_ttc
         t0 = _time.perf_counter()
         state = encode_traffic_state(world, ttc_star)
-        if policy.controls_gap:
-            if acc_learner is not None and pending_gap is not None:
-                acc_learner.store(*pending_gap, r_acc, state, is_last)
-                acc_learner.train()
-            if not is_last:
-                action, gap = policy.gap_action(state, train)
-                _broadcast_gap(world, gap)
-                pending_gap = (state, action)
-        if ttc_tick and policy.adapts_ttc:
+        if acc_learner is not None and pending_gap is not None:
+            acc_learner.store(*pending_gap, r_acc, state, is_last)
+            acc_learner.train()
+        if not is_last:
+            action, gap = policy.gap_action(state, train)
+            _broadcast_gap(world, gap)
+            pending_gap = (state, action)
+        if ttc_tick and policy.ttc_agent is not None:
             if ttc_learner is not None and pending_ttc is not None:
                 ttc_learner.store(*pending_ttc, r_ttc, state, is_last)
                 ttc_learner.train()
@@ -550,8 +520,7 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
         if measure_latency and not is_last:
             latencies.append((_time.perf_counter() - t0) * 1e3)
 
-    decides = policy.controls_gap or policy.adapts_ttc  # base: no decision
-    if decides:
+    if policy.controls_gap:  # base makes no decision
         decide(True, False, 0.0, 0.0)
 
     flagged: set[int] = set()  # followers flagged in the current window
@@ -618,7 +587,7 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
             flagged.clear()
             window_event_start = len(world.events)
 
-        if decides:
+        if policy.controls_gap:
             decide(ttc_tick, is_last, r_acc, r_ttc)
 
     if train:

@@ -47,20 +47,8 @@ def _parse_values(raw: str) -> tuple:
 
 
 def _policy_spec(system: str, args) -> PolicySpec:
-    ckpt_dir = getattr(args, "checkpoint_dir", None)
-    ttc_ckpt = acc_ckpt = None
-    if ckpt_dir:
-        base = Path(ckpt_dir)
-        acc = base / "acc_agent.ckpt"
-        ttc = base / "ttc_agent.ckpt"
-        if system in ("saint", "fixed-ttc") and not acc.exists():
-            raise HarnessError(f"missing checkpoint {acc}")
-        if system == "saint" and not ttc.exists():
-            raise HarnessError(f"missing checkpoint {ttc}")
-        acc_ckpt = str(acc) if acc.exists() else None
-        ttc_ckpt = str(ttc) if ttc.exists() else None
-    return PolicySpec(system, ttc_star=getattr(args, "fixed_ttc_star", 4.0),
-                      ttc_checkpoint=ttc_ckpt, acc_checkpoint=acc_ckpt)
+    return PolicySpec(system, ttc_star=args.fixed_ttc_star,
+                      checkpoint_dir=args.checkpoint_dir)
 
 
 def _progress(msg: str) -> None:
@@ -163,11 +151,9 @@ def cmd_spacetime(args) -> int:
 
 def cmd_ablate_ttc(args) -> int:
     scenario = _load(args.config)
-    saint = PolicySpec("saint",
-                       ttc_checkpoint=_ckpt(args.saint_dir, "ttc_agent.ckpt"),
-                       acc_checkpoint=_ckpt(args.saint_dir, "acc_agent.ckpt"))
+    saint = PolicySpec("saint", checkpoint_dir=args.saint_dir)
     fixed = PolicySpec("fixed-ttc", ttc_star=args.fixed_ttc_star,
-                       acc_checkpoint=_ckpt(args.fixed_dir, "acc_agent.ckpt"))
+                       checkpoint_dir=args.fixed_dir)
     sweep = SweepSpec(parameter="penetration",
                       values=(scenario.demand.penetration_rate,),
                       episodes=args.episodes, base_seed=args.seed,
@@ -181,13 +167,6 @@ def cmd_ablate_ttc(args) -> int:
         print(f"{s['system']}: nc={s['nc_mean']:.1f} "
               f"speed={s['speed_mean']:.2f} delay={s['delay_mean']:.1f}")
     return 0
-
-
-def _ckpt(directory, name):
-    if directory is None:
-        return None
-    path = Path(directory) / name
-    return str(path) if path.exists() else None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -89,41 +89,44 @@ def _pool_imap(fn, tasks: list):
 # its sweep label; every other kind ignores the threshold.
 FIXED_THRESHOLD_KINDS = {"scripted": "scripted-ttc", "fixed-ttc": "fixed-ttc"}
 
-# The kinds that read each swept parameter not every kind reads; every kind
-# reads the parameters left out.  A kind that does not read the swept
-# parameter runs the same episode at every value.  `base` actuates no
-# vehicle, so which vehicles are equipped never reaches its episode; the
-# only trace of the penetration rate is `EpisodeMetrics.penetration`, which
-# `run_sweep` sets on each row it fills from a shared episode.
-PARAMETER_READERS = {
-    "ttc_star_fixed": frozenset(FIXED_THRESHOLD_KINDS),
-    "penetration": frozenset({"scripted", "fixed-ttc", "saint"}),
-}
+
+def agent_checkpoints(policy: ControlPolicy, directory) -> list:
+    """(agent, checkpoint path in `directory`) for each agent `policy`
+    has: the gap agent (``acc``) first, then the threshold agent (``ttc``)."""
+    directory = Path(directory)
+    return [(agent, directory / f"{name}_agent.ckpt") for name, agent in
+            (("acc", policy.acc_agent), ("ttc", policy.ttc_agent))
+            if agent is not None]
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Recipe for building a ControlPolicy inside a worker process."""
+    """Recipe for building a ControlPolicy inside a worker process.
+
+    With a `checkpoint_dir`, every agent of the built policy is restored
+    from its file there (`agent_checkpoints`); an absent file is an error.
+    """
 
     kind: str  # "base" | "scripted" | "fixed-ttc" | "saint"
     ttc_star: float = 4.0
-    ttc_checkpoint: Optional[str] = None
-    acc_checkpoint: Optional[str] = None
+    checkpoint_dir: Optional[str] = None
 
-    def build(self, scenario: Scenario) -> ControlPolicy:
+    def build(self, scenario: Scenario, seed: int = 0) -> ControlPolicy:
         if self.kind == "base":
             return NoAccPolicy()
         if self.kind == "scripted":
             return ScriptedGapPolicy(self.ttc_star)
         if self.kind == "fixed-ttc":
-            policy = make_fixed_ttc_policy(scenario, ttc_star=self.ttc_star)
+            policy = make_fixed_ttc_policy(scenario, seed=seed,
+                                           ttc_star=self.ttc_star)
         elif self.kind == "saint":
-            policy = make_adaptive_policy(scenario)
+            policy = make_adaptive_policy(scenario, seed=seed)
         else:
             raise HarnessError(f"unknown policy kind {self.kind!r}")
-        for agent, path in ((policy.acc_agent, self.acc_checkpoint),
-                            (policy.ttc_agent, self.ttc_checkpoint)):
-            if agent is not None and path:
+        if self.checkpoint_dir is not None:
+            for agent, path in agent_checkpoints(policy, self.checkpoint_dir):
+                if not path.exists():
+                    raise HarnessError(f"missing checkpoint {path}")
                 agent.restore(path)
         return policy
 
@@ -136,6 +139,8 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scena
         return scenario.replace(
             demand=replace(scenario.demand, penetration_rate=float(value)))
     if parameter == "merge_flow":
+        if scenario.geometry.ramp_kind != "on_ramp":
+            raise HarnessError("merge_flow sweeps need an on-ramp scenario")
         return scenario.replace(
             demand=replace(scenario.demand, ramp_flow=float(value)))
     if parameter == "exit_flow":
@@ -203,22 +208,22 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
               progress: Optional[Callable[[str], None]] = None) -> list[SweepRow]:
     """Evaluate every (system, value, seed) combination with paired seeds.
 
-    Each distinct episode runs once.  A system that does not read the swept
-    parameter (`PARAMETER_READERS`) would run the same episode at every
-    value: in a `penetration` sweep `base` actuates no vehicle, so it runs
-    once per seed, at the first value, and that result fills the row of
-    every value with `metrics.penetration` set to the row's value.  A
-    `ttc_star_fixed` sweep rejects such a system instead, since its values
-    are the systems' own thresholds.  `progress` gets one message per row.
+    Every system is built once before any episode runs, so a missing
+    checkpoint fails first.  Each distinct episode runs once: in a
+    `penetration` sweep a system that does not control the gap (`base`)
+    actuates no vehicle, so it runs once per seed, at the first value, and
+    that result fills the row of every value with `metrics.penetration` set
+    to the row's value.  A `ttc_star_fixed` sweep rejects a system without a fixed
+    threshold, since its values are the systems' own thresholds.
+    `progress` gets one message per row.
     """
     values = [float(v) for v in sweep.values]
     for i, value in enumerate(values):
         if value in values[:i]:  # its rows would collapse into one
             raise HarnessError(f"sweep value {value:g} is listed twice")
-    readers = PARAMETER_READERS.get(sweep.parameter)
     if sweep.parameter == "ttc_star_fixed":
         for spec in sweep.systems:
-            if spec.kind not in readers:
+            if spec.kind not in FIXED_THRESHOLD_KINDS:
                 raise HarnessError(
                     f"ttc_star_fixed sweeps need a fixed-threshold system "
                     f"({' or '.join(FIXED_THRESHOLD_KINDS)}), not {spec.kind!r}")
@@ -226,7 +231,8 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
     fills = {}  # task key -> the keys of the rows its result fills
     keys = set()
     for spec in sweep.systems:
-        shared = readers is not None and spec.kind not in readers
+        policy = spec.build(scenario)  # fails here, before any episode
+        shared = sweep.parameter == "penetration" and not policy.controls_gap
         for value in values:
             point_scenario = apply_sweep_value(scenario, sweep.parameter, value)
             point_spec = spec
@@ -448,23 +454,17 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
     containing checkpoints, training restarts from the saved weights and
     epsilon state.
     """
-    if system == "saint":
-        policy = make_adaptive_policy(scenario, seed=seed)
-    elif system == "fixed-ttc":
-        policy = make_fixed_ttc_policy(scenario, seed=seed,
-                                       ttc_star=fixed_ttc_star)
-    else:
+    policy = PolicySpec(system, ttc_star=fixed_ttc_star).build(scenario, seed)
+    if policy.acc_agent is None:
         raise HarnessError(f"system {system!r} is not trainable")
     out = Path(out_dir) if out_dir is not None else None
     checkpoints = []  # (agent, path) for each agent the policy has
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        checkpoints = [(agent, out / f"{name}_agent.ckpt") for name, agent in
-                       (("acc", policy.acc_agent), ("ttc", policy.ttc_agent))
-                       if agent is not None]
+        checkpoints = agent_checkpoints(policy, out)
     rewards_path = out / "rewards.csv" if out is not None else None
     start_ep = 0
-    if resume and out is not None and (out / "acc_agent.ckpt").exists():
+    if resume and checkpoints and checkpoints[0][1].exists():  # gap agent's
         for agent, path in checkpoints:
             if path.exists():
                 agent.restore(path)

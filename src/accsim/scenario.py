@@ -189,17 +189,13 @@ _SECTIONS = {
     "agents": AgentConfig,
 }
 
-_INT_KEYS = {"lane_count", "train_start_buffer"}
-_STR_KEYS = {"ramp_kind", "arrival_process", "training_schedule"}
 
-
-def _coerce(section: str, key: str, raw: str):
-    if key in _STR_KEYS:
+def _coerce(section: str, key: str, kind: str, raw: str):
+    """Parse `raw` as the field's annotated type: "int", "float" or "str"."""
+    if kind == "str":
         return raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return int(raw) if kind == "int" else float(raw)
     except ValueError:
         raise ScenarioError(f"[{section}] {key}: could not parse number {raw!r}") from None
 
@@ -222,13 +218,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
     built = {}
     for section, cls in _SECTIONS.items():
-        known = {f.name for f in fields(cls)}
+        kinds = {f.name: f.type for f in fields(cls)}
         values = {}
         if parser.has_section(section):
             for key, raw in parser.items(section):
-                if key not in known:
+                if key not in kinds:
                     raise ScenarioError(f"unknown key [{section}] {key} in {path}")
-                values[key] = _coerce(section, key, raw)
+                values[key] = _coerce(section, key, kinds[key], raw)
         built[section] = cls(**values)
     for section in parser.sections():
         if section not in _SECTIONS:

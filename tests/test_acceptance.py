@@ -18,7 +18,6 @@ from accsim import rlcore
 from accsim.agents import (
     DqnAgent,
     NoAccPolicy,
-    RewardWeights,
     reward_acc_comfort,
     reward_acc_efficiency,
     reward_acc_safety,
@@ -39,7 +38,7 @@ from accsim.harness import (
 )
 from accsim.metrics import SafetyTally, compute_ttc
 from accsim.rlcore import AdamState, BN_EPS, BN_MOMENTUM, QNetwork, train_step
-from accsim.scenario import ROUTE_THROUGH, load_builtin
+from accsim.scenario import ROUTE_THROUGH, AgentConfig, load_builtin
 from accsim.simcore import (
     EVENT_ACTUAL_COLLISION,
     EVENT_NEAR_COLLISION,
@@ -67,11 +66,9 @@ def headline(checkpoints):
     threshold pinned, so only threshold adaptivity is removed.
     """
     sc = load_builtin("onramp")
-    acc = str(checkpoints / "acc_agent.ckpt")
     systems = (
-        PolicySpec("saint", ttc_checkpoint=str(checkpoints / "ttc_agent.ckpt"),
-                   acc_checkpoint=acc),
-        PolicySpec("fixed-ttc", ttc_star=4.0, acc_checkpoint=acc),
+        PolicySpec("saint", checkpoint_dir=str(checkpoints)),
+        PolicySpec("fixed-ttc", ttc_star=4.0, checkpoint_dir=str(checkpoints)),
         PolicySpec("base"),
     )
     sweep = SweepSpec(parameter="penetration", values=(0.8,), episodes=20,
@@ -86,7 +83,7 @@ def headline(checkpoints):
 
 
 def test_criterion_01_formula_fidelity(capsys):
-    w = RewardWeights()
+    w = AgentConfig()
     follower = Vehicle(1, 0.0, 25.0, 5.0, 0, 0.3, 1.0, 2.6, False,
                        ROUTE_THROUGH, 0.0)
     leader = Vehicle(2, 50.0, 20.0, 5.0, 0, 0.3, 1.0, 2.6, False,
@@ -322,9 +319,7 @@ def test_criterion_08_determinism_and_oracles(capsys, tmp_path):
 
 def test_criterion_09_latency(capsys, checkpoints):
     sc = load_builtin("onramp")
-    policy = PolicySpec(
-        "saint", ttc_checkpoint=str(checkpoints / "ttc_agent.ckpt"),
-        acc_checkpoint=str(checkpoints / "acc_agent.ckpt")).build(sc)
+    policy = PolicySpec("saint", checkpoint_dir=str(checkpoints)).build(sc)
     lats = measure_latency(sc, policy, min_decisions=1000)
     mean_ms = statistics.fmean(lats)
     report(capsys, 9, mean_ms < 50.0,
@@ -337,9 +332,7 @@ def test_criterion_09_latency(capsys, checkpoints):
 
 def test_criterion_10_update_interval(capsys, checkpoints):
     sc = load_builtin("onramp")
-    spec = PolicySpec(
-        "saint", ttc_checkpoint=str(checkpoints / "ttc_agent.ckpt"),
-        acc_checkpoint=str(checkpoints / "acc_agent.ckpt"))
+    spec = PolicySpec("saint", checkpoint_dir=str(checkpoints))
     sweep = SweepSpec(parameter="update_interval",
                       values=(1.0, 2.0, 3.0, 5.0, 10.0), episodes=5,
                       base_seed=700, systems=(spec,))

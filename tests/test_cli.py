@@ -32,6 +32,15 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert "category=usage" in captured.err
 
 
+def test_ablate_ttc_missing_checkpoint_is_usage_error(tmp_path, capsys):
+    code = main(["ablate-ttc", "--config", "desk", "--episodes", "1",
+                 "--seed", "5", "--saint-dir", str(tmp_path / "nowhere"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "missing checkpoint " in err and "acc_agent.ckpt" in err
+
+
 def test_spacetime_success(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = main(["spacetime", "--config", "desk", "--system", "base",

@@ -66,6 +66,11 @@ def test_worker_count_env(monkeypatch):
 # ---- sweep parameter application ---------------------------------------
 
 
+def _no_episode(task):
+    """Stands in for `harness._run_task` where no episode may run."""
+    raise AssertionError(f"episode ran: {task[0]}")
+
+
 def test_apply_sweep_values():
     sc = load_builtin("onramp")
     assert apply_sweep_value(sc, "ttc_star_fixed", 6.0) is sc
@@ -80,21 +85,40 @@ def test_apply_sweep_values():
         apply_sweep_value(sc, "density", 1.0)
 
 
+@pytest.mark.parametrize("name", ["offramp", "straight"])
+def test_merge_flow_sweep_needs_an_on_ramp(monkeypatch, name):
+    # off-ramp ramp_flow is exit demand; without a ramp nothing reads it
+    monkeypatch.setenv("ACCSIM_WORKERS", "1")
+    monkeypatch.setattr(harness, "_run_task", _no_episode)
+    sweep = SweepSpec(parameter="merge_flow", values=(0.0, 900.0),
+                      episodes=1, base_seed=5)
+    with pytest.raises(HarnessError, match="on-ramp"):
+        run_sweep(load_builtin(name), sweep)
+
+
 def test_policy_spec_build_kinds():
     sc = load_builtin("desk")
     assert isinstance(PolicySpec("base").build(sc), NoAccPolicy)
     assert isinstance(PolicySpec("scripted").build(sc), ScriptedGapPolicy)
     fixed = PolicySpec("fixed-ttc", ttc_star=6.0).build(sc)
     assert isinstance(fixed, AdaptivePolicy) and fixed.initial_ttc_star == 6.0
-    assert fixed.ttc_agent is None and not fixed.adapts_ttc
+    assert fixed.ttc_agent is None
     assert isinstance(PolicySpec("saint").build(sc), AdaptivePolicy)
     with pytest.raises(HarnessError):
         PolicySpec("magic").build(sc)
-    # only a policy that makes decisions sees which vehicles are equipped
-    for kind in ("base", "scripted", "fixed-ttc", "saint"):
-        policy = PolicySpec(kind).build(sc)
-        assert (kind in harness.PARAMETER_READERS["penetration"]) == \
-            (policy.controls_gap or policy.adapts_ttc)
+
+
+def test_policy_spec_restores_trained_checkpoints(tmp_path):
+    sc = load_builtin("desk")
+    trained = train(sc, system="fixed-ttc", episodes=2, seed=3,
+                    out_dir=tmp_path, checkpoint_every=2).policy
+    fixed = PolicySpec("fixed-ttc", checkpoint_dir=str(tmp_path)).build(sc)
+    assert fixed.acc_agent.weight_checksum() == \
+        trained.acc_agent.weight_checksum()
+    assert fixed.acc_agent.weight_checksum() != \
+        PolicySpec("fixed-ttc").build(sc).acc_agent.weight_checksum()
+    with pytest.raises(HarnessError, match="missing checkpoint .*ttc_agent.ckpt"):
+        PolicySpec("saint", checkpoint_dir=str(tmp_path)).build(sc)
 
 
 # ---- statistics vs a reference implementation --------------------------
@@ -322,6 +346,21 @@ def test_ttc_star_fixed_sweep_rejects_system_without_fixed_threshold(
     with pytest.raises(HarnessError, match=f"'{kind}'"):
         run_sweep(load_builtin("desk"), sweep)
     assert tasks == []
+
+
+@pytest.mark.parametrize("parameter", ["penetration", "update_interval"])
+def test_sweep_rejects_missing_checkpoint_before_any_episode(
+        monkeypatch, tmp_path, parameter):
+    monkeypatch.setenv("ACCSIM_WORKERS", "1")
+    monkeypatch.setattr(harness, "_run_task", _no_episode)
+    sweep = SweepSpec(parameter=parameter, values=(1.0,), episodes=1,
+                      base_seed=5,
+                      systems=(PolicySpec("base"),
+                               PolicySpec("saint",
+                                          checkpoint_dir=str(tmp_path))))
+    with pytest.raises(HarnessError,
+                       match="missing checkpoint .*acc_agent.ckpt"):
+        run_sweep(load_builtin("desk"), sweep)
 
 
 # ---- training persistence ----------------------------------------------

@@ -1,7 +1,7 @@
 """Config loading, validation, and spawn-schedule tests."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,6 +10,7 @@ from accsim.scenario import (
     ROUTE_EXIT,
     ROUTE_MERGE,
     ROUTE_THROUGH,
+    AgentConfig,
     DemandSpec,
     RoadGeometry,
     RunConfig,
@@ -92,6 +93,30 @@ def test_unknown_section_rejected(tmp_path):
 def test_unparsable_number_rejected(tmp_path):
     bad = GOOD_CFG.replace("mainline_flow = 1200", "mainline_flow = heavy")
     with pytest.raises(ScenarioError, match="mainline_flow"):
+        load_scenario(write(tmp_path, bad))
+
+
+def test_every_key_loads_as_its_annotated_type(tmp_path):
+    # integral floats are written without a point, so an int parse shows
+    sections = {"geometry": RoadGeometry(), "demand": DemandSpec(),
+                "run": RunConfig(), "agents": AgentConfig()}
+    lines = []
+    for name, section in sections.items():
+        lines.append(f"[{name}]")
+        for f in fields(section):
+            value = getattr(section, f.name)
+            text = f"{value:g}" if isinstance(value, float) else str(value)
+            lines.append(f"{f.name} = {text}")
+    cfg = "\n".join(lines) + "\n"
+    sc = load_scenario(write(tmp_path, cfg))
+    for name, section in sections.items():
+        for f in fields(section):
+            want = getattr(section, f.name)
+            got = getattr(getattr(sc, name), f.name)
+            assert (type(got), got) == (type(want), want), f"{name}.{f.name}"
+    bad = cfg.replace("lane_count = 3\n", "lane_count = 2.5\n")
+    assert bad != cfg
+    with pytest.raises(ScenarioError, match=r"\[geometry\] lane_count"):
         load_scenario(write(tmp_path, bad))
 
 
