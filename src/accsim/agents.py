@@ -36,6 +36,10 @@ GAP_ACTION_COUNT = 25
 MEAN_TTC_CAP = 20.0  # s, cap applied to the mean-TTC state feature
 TTC_LOG_FLOOR = 0.01  # s, avoids log(0) in the safety reward
 HEADWAY_CAP = 10.0  # s, cap on the time-headway state feature
+BATCH_SIZE = 64  # transitions per DQN update
+BUFFER_CAPACITY = 100_000  # transitions each replay buffer holds
+TARGET_SYNC_EVERY = 5  # episodes between target-network syncs
+SCRIPTED_GAP_PER_SECOND = 2.4  # m of scripted gap per s of threshold
 
 
 def ttc_star_from_index(index: int) -> float:
@@ -208,19 +212,16 @@ class DqnAgent:
 
     def __init__(self, input_dim: int, output_dim: int, *, seed: int = 0,
                  hidden_dim: int = 30, learning_rate: float = 1e-4,
-                 gamma: float = 0.95, batch_size: int = 64,
-                 buffer_capacity: int = 100_000, lambda_decay: float = 0.99985,
-                 train_start: int = 1000, sync_every: int = 5):
+                 gamma: float = 0.95, lambda_decay: float = 0.99985,
+                 train_start: int = 1000):
         self.rng = np.random.default_rng(seed)
         self.net = QNetwork(input_dim, output_dim, hidden_dim, rng=self.rng)
         self.target = self.net.copy()
-        self.buffer = ReplayBuffer(buffer_capacity, input_dim)
+        self.buffer = ReplayBuffer(BUFFER_CAPACITY, input_dim)
         self.adam = AdamState(learning_rate)
         self.schedule = EpsilonSchedule(decay=lambda_decay)
         self.gamma = gamma
-        self.batch_size = batch_size
-        self.train_start = max(train_start, batch_size)
-        self.sync_every = sync_every
+        self.train_start = max(train_start, BATCH_SIZE)
         self.episodes = 0
         self.last_loss: float | None = None
 
@@ -234,14 +235,14 @@ class DqnAgent:
     def train(self) -> float | None:
         if len(self.buffer) < self.train_start:
             return None
-        batch = self.buffer.sample(self.batch_size, self.rng)
+        batch = self.buffer.sample(BATCH_SIZE, self.rng)
         self.last_loss = rlcore.train_step(self.net, self.target, batch,
                                            self.gamma, self.adam)
         return self.last_loss
 
     def end_episode(self) -> None:
         self.episodes += 1
-        if self.episodes % self.sync_every == 0:
+        if self.episodes % TARGET_SYNC_EVERY == 0:
             rlcore.sync_target(self.net, self.target)
 
     def weight_checksum(self) -> int:
@@ -305,9 +306,10 @@ class ScriptedGapPolicy(ControlPolicy):
 
     controls_gap = True
 
-    def __init__(self, ttc_star: float, gap_per_second: float = 2.4):
+    def __init__(self, ttc_star: float):
         self.initial_ttc_star = ttc_star
-        gap = min(max(round(1.0 + gap_per_second * ttc_star), 1), GAP_ACTION_COUNT)
+        gap = min(max(round(1.0 + SCRIPTED_GAP_PER_SECOND * ttc_star), 1),
+                  GAP_ACTION_COUNT)
         self._action = gap - 1
 
     def gap_action(self, state, train):

@@ -63,7 +63,7 @@ def cmd_train(args) -> int:
         resume=args.resume, fixed_ttc_star=args.fixed_ttc_star,
         progress=_progress if args.verbose else None)
     n = len(result.episodes)
-    tail = result.acc_rewards[-20:] or [0.0]
+    tail = [e.acc_reward for e in result.episodes[-20:]] or [0.0]
     print(f"trained {args.system} for {n} episodes "
           f"(config {config_hash(scenario)}); "
           f"final 20-episode mean gap-agent reward {statistics.fmean(tail):.2f}")

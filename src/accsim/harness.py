@@ -174,7 +174,6 @@ class SweepRow:
     """One evaluated episode within a sweep."""
 
     system: str
-    parameter: str
     value: float
     result: EpisodeResult
 
@@ -217,6 +216,10 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
     threshold, since its values are the systems' own thresholds.
     `progress` gets one message per row.
     """
+    if not sweep.values:
+        raise HarnessError("a sweep needs at least one value")
+    if sweep.episodes < 1:
+        raise HarnessError(f"a sweep needs episodes >= 1, got {sweep.episodes}")
     values = [float(v) for v in sweep.values]
     for i, value in enumerate(values):
         if value in values[:i]:  # its rows would collapse into one
@@ -263,7 +266,7 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
     rows = []
     for key in sorted(outputs):  # deterministic merge order
         label, value, seed = key
-        rows.append(SweepRow(label, sweep.parameter, value, outputs[key]))
+        rows.append(SweepRow(label, value, outputs[key]))
     return rows
 
 
@@ -318,75 +321,6 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return num / (dx * dy)
 
 
-def paired_t_pvalue(diffs: Sequence[float]) -> float:
-    """One-sided paired t-test p-value for mean(diffs) < 0.
-
-    Uses the t CDF via the regularized incomplete beta function.
-    """
-    n = len(diffs)
-    if n < 2:
-        raise HarnessError("paired test needs at least two pairs")
-    mean = statistics.fmean(diffs)
-    sd = statistics.stdev(diffs)
-    if sd == 0.0:
-        return 0.0 if mean < 0 else 1.0
-    t = mean / (sd / math.sqrt(n))
-    df = n - 1
-    # P(T <= t); for t<0 this is 0.5 * I_{df/(df+t^2)}(df/2, 1/2)
-    x = df / (df + t * t)
-    tail = 0.5 * _reg_inc_beta(df / 2.0, 0.5, x)
-    return tail if t < 0 else 1.0 - tail
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) by continued fraction."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
-def _beta_cf(a: float, b: float, x: float, max_iter: int = 200,
-             eps: float = 1e-12) -> float:
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < 1e-30:
-        d = 1e-30
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-30:
-            d = 1e-30
-        c = 1.0 + aa / c
-        if abs(c) < 1e-30:
-            c = 1e-30
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-30:
-            d = 1e-30
-        c = 1.0 + aa / c
-        if abs(c) < 1e-30:
-            c = 1e-30
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h
-
-
 # ---- CSV emission ------------------------------------------------------
 
 
@@ -410,7 +344,7 @@ def write_sweep_csv(path, scenario: Scenario, sweep: SweepSpec,
         f"parameter={sweep.parameter}",
     ]
     columns = ("system", "parameter", "value") + EPISODE_CSV_COLUMNS
-    data = [[r.system, r.parameter, r.value] + r.result.metrics.csv_row()
+    data = [[r.system, sweep.parameter, r.value] + r.result.metrics.csv_row()
             for r in rows]
     _write_csv(path, comments, columns, data)
 
@@ -439,8 +373,6 @@ def write_summary_csv(path, scenario: Scenario, sweep: SweepSpec,
 class TrainResult:
     policy: ControlPolicy
     episodes: list[EpisodeResult] = field(default_factory=list)
-    ttc_rewards: list[float] = field(default_factory=list)
-    acc_rewards: list[float] = field(default_factory=list)
 
 
 def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
@@ -450,10 +382,17 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
     """Train the selected system and optionally persist checkpoints/rewards.
 
     Episode seeds are ``seed*10_000 + episode`` so distinct training seeds
-    see disjoint traffic realizations.  With ``resume`` and an ``out_dir``
-    containing checkpoints, training restarts from the saved weights and
-    epsilon state.
+    see disjoint traffic realizations.  With an ``out_dir``, every
+    ``checkpoint_every`` episodes and after the last one the checkpoints are
+    saved and then the reward rows of the episodes since the last save are
+    appended to ``rewards.csv``, so its rows never describe learning the
+    checkpoints lack.  With ``resume`` and an ``out_dir`` containing
+    checkpoints, training restarts from the saved weights and epsilon state,
+    numbering episodes on from the rows in ``rewards.csv``.
     """
+    if checkpoint_every < 1:
+        raise HarnessError(
+            f"checkpoint_every must be >= 1, got {checkpoint_every}")
     policy = PolicySpec(system, ttc_star=fixed_ttc_star).build(scenario, seed)
     if policy.acc_agent is None:
         raise HarnessError(f"system {system!r} is not trainable")
@@ -473,65 +412,61 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
                 lines = [ln for ln in fh
                          if ln.strip() and not ln.startswith("#")]
             start_ep = max(0, len(lines) - 1)  # minus the header row
+    if out is not None and start_ep == 0:
+        comments = [
+            f"config={config_hash(scenario)}",
+            f"training_seed={seed}",
+            f"system={system}",
+        ]
+        _write_csv(rewards_path, comments,
+                   ("episode", "seed", "ttc_reward", "acc_reward",
+                    "near_collisions", "mean_speed", "final_ttc_star"), [])
 
     schedule = scenario.agents.training_schedule
     alternating = (schedule == "alternating"
                    and policy.ttc_agent is not None)
     result = TrainResult(policy)
-    reward_rows = []
+    unsaved_rows = []  # reward rows of the episodes since the last save
     for offset in range(episodes):
         ep = start_ep + offset
         ep_seed = seed * 10_000 + ep
+        episode_policy, train_acc = policy, True
+        if alternating and ep % 2 == 0:
+            # Gap-agent episodes run with the threshold pinned, cycling the
+            # pin over the plausible range so the gap agent generalizes
+            # across danger thresholds instead of co-adapting to a single
+            # one; threshold-agent episodes run against the frozen gap
+            # agent.  Each agent then learns in a quasi-stationary
+            # environment.
+            pin = ALTERNATING_TTC_PINS[(ep // 2) % len(ALTERNATING_TTC_PINS)]
+            episode_policy = AdaptivePolicy(policy.acc_agent,
+                                            initial_ttc_star=pin)
+        elif alternating:
+            train_acc = False
         try:
-            if alternating and ep % 2 == 0:
-                # Gap-agent episodes run with the threshold pinned, cycling
-                # the pin over the plausible range so the gap agent
-                # generalizes across danger thresholds instead of
-                # co-adapting to a single one; threshold-agent episodes run
-                # against the frozen gap agent.  Each agent then learns in
-                # a quasi-stationary environment.
-                pin = ALTERNATING_TTC_PINS[(ep // 2) % len(ALTERNATING_TTC_PINS)]
-                pinned = AdaptivePolicy(policy.acc_agent, initial_ttc_star=pin)
-                res = run_episode(scenario, pinned, mode="train", seed=ep_seed)
-            elif alternating:
-                res = run_episode(scenario, policy, mode="train", seed=ep_seed,
-                                  train_acc=False)
-            else:
-                res = run_episode(scenario, policy, mode="train", seed=ep_seed)
+            res = run_episode(scenario, episode_policy, mode="train",
+                              seed=ep_seed, train_acc=train_acc)
         except MetricsError:
             # a fully gridlocked exploratory episode yields no completions;
             # skip its metrics but keep the learned experience
-            continue
-        result.episodes.append(res)
-        result.ttc_rewards.append(res.ttc_reward)
-        result.acc_rewards.append(res.acc_reward)
-        reward_rows.append([ep, ep_seed, f"{res.ttc_reward:.6f}",
-                            f"{res.acc_reward:.6f}",
-                            res.metrics.near_collisions,
-                            f"{res.metrics.mean_speed:.6f}",
-                            f"{res.final_ttc_star:g}"])
-        if progress and (ep % 10 == 0 or offset == episodes - 1):
-            progress(f"episode {ep}: ttc_reward={res.ttc_reward:.1f} "
-                     f"acc_reward={res.acc_reward:.1f}")
+            pass
+        else:
+            result.episodes.append(res)
+            unsaved_rows.append([ep, ep_seed, f"{res.ttc_reward:.6f}",
+                                 f"{res.acc_reward:.6f}",
+                                 res.metrics.near_collisions,
+                                 f"{res.metrics.mean_speed:.6f}",
+                                 f"{res.final_ttc_star:g}"])
+            if progress and (ep % 10 == 0 or offset == episodes - 1):
+                progress(f"episode {ep}: ttc_reward={res.ttc_reward:.1f} "
+                         f"acc_reward={res.acc_reward:.1f}")
         if out is not None and ((offset + 1) % checkpoint_every == 0
                                 or offset == episodes - 1):
             for agent, path in checkpoints:
                 agent.save(path)
-    if out is not None:
-        if start_ep > 0:
-            # resumed run: append rows, keep the existing header
             with open(rewards_path, "a", newline="") as fh:
-                csv.writer(fh).writerows(reward_rows)
-        else:
-            comments = [
-                f"config={config_hash(scenario)}",
-                f"training_seed={seed}",
-                f"system={system}",
-            ]
-            _write_csv(rewards_path, comments,
-                       ("episode", "seed", "ttc_reward", "acc_reward",
-                        "near_collisions", "mean_speed", "final_ttc_star"),
-                       reward_rows)
+                csv.writer(fh).writerows(unsaved_rows)
+            unsaved_rows.clear()
     return result
 
 

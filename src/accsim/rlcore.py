@@ -26,6 +26,8 @@ import numpy as np
 BN_MOMENTUM = 0.99
 BN_EPS = 1e-8
 
+INIT_STD = 0.05  # std of the normal draw for fresh W1 and W2 entries
+
 CHECKPOINT_MAGIC = b"ACSQ"
 CHECKPOINT_VERSION = 1
 
@@ -38,14 +40,14 @@ class QNetwork:
     """Q-value MLP: input normalization -> ReLU hidden layer -> linear head."""
 
     def __init__(self, input_dim: int, output_dim: int, hidden_dim: int = 30,
-                 rng: np.random.Generator | None = None, init_std: float = 0.05):
+                 rng: np.random.Generator | None = None):
         if rng is None:
             rng = np.random.default_rng()
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.output_dim = output_dim
-        W1 = rng.normal(0.0, init_std, (input_dim, hidden_dim))
-        W2 = rng.normal(0.0, init_std, (hidden_dim, output_dim))
+        W1 = rng.normal(0.0, INIT_STD, (input_dim, hidden_dim))
+        W2 = rng.normal(0.0, INIT_STD, (hidden_dim, output_dim))
         self._bind(np.zeros(self._flat_size()))
         self.W1[...] = W1
         self.W2[...] = W2

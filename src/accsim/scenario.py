@@ -103,6 +103,13 @@ class RunConfig:
             )
         if self.episode_duration <= 0:
             raise ScenarioError("run.episode_duration must be > 0")
+        # the last control interval must end the episode, or no decision
+        # is the last one and neither agent stores a terminal transition
+        ratio = self.episode_duration / self.control_interval
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ScenarioError(
+                "run.episode_duration must be an integer multiple of run.control_interval"
+            )
         if self.min_gap_for_near_collision <= 0:
             raise ScenarioError("run.min_gap_for_near_collision must be > 0")
         if self.congestion_speed <= 0:

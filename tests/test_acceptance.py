@@ -29,7 +29,6 @@ from accsim.harness import (
     PolicySpec,
     SweepSpec,
     measure_latency,
-    paired_t_pvalue,
     run_sweep,
     spearman,
     summarize,
@@ -207,7 +206,8 @@ def test_criterion_05_training_convergence(capsys):
     ok_ttc = ok_acc = 0
     finite = True
     for r in train_many(sc, range(10), system="saint", episodes=300):
-        ttc, acc = r.ttc_rewards, r.acc_rewards
+        ttc = [e.ttc_reward for e in r.episodes]
+        acc = [e.acc_reward for e in r.episodes]
         finite &= all(math.isfinite(v) for v in ttc + acc)
         ok_ttc += statistics.fmean(ttc[-20:]) > statistics.fmean(ttc[:20])
         ok_acc += statistics.fmean(acc[-20:]) > statistics.fmean(acc[:20])
@@ -222,13 +222,15 @@ def test_criterion_05_training_convergence(capsys):
 
 
 def test_criterion_06_headline(capsys, headline):
+    from scipy.stats import ttest_rel
+
     seeds = sorted(headline["base"])
     base_nc = [headline["base"][s].metrics.near_collisions for s in seeds]
     saint_nc = [headline["saint"][s].metrics.near_collisions for s in seeds]
     fixed_nc = [headline["fixed-ttc4"][s].metrics.near_collisions
                 for s in seeds]
     reduction = 1.0 - statistics.fmean(saint_nc) / statistics.fmean(base_nc)
-    p = paired_t_pvalue([a - b for a, b in zip(saint_nc, fixed_nc)])
+    p = ttest_rel(saint_nc, fixed_nc, alternative="less").pvalue
     saint_v = statistics.fmean(
         headline["saint"][s].metrics.mean_speed for s in seeds)
     base_v = statistics.fmean(

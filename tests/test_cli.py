@@ -91,8 +91,16 @@ def test_motivation_small(tmp_path, capsys):
     assert "spearman(nc)=" in capsys.readouterr().out
 
 
-def test_bad_sweep_values_is_usage_error(tmp_path, capsys):
-    code = main(["sweep", "--config", "desk", "--parameter", "penetration",
-                 "--values", "a,b", "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--parameter", "penetration", "--values", "a,b"],
+    ["sweep", "--parameter", "penetration", "--values", ""],
+    ["motivation", "--values", ""],
+    ["sweep", "--parameter", "penetration", "--values", "0.8",
+     "--episodes", "0"],
+    ["train", "--episodes", "1", "--checkpoint-every", "0"],
+], ids=["bad-values", "no-values", "motivation-no-values", "no-episodes",
+        "checkpoint-every-0"])
+def test_bad_sweep_values_is_usage_error(tmp_path, capsys, argv):
+    code = main(argv + ["--config", "desk", "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "category=usage" in capsys.readouterr().err

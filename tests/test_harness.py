@@ -18,7 +18,6 @@ from accsim.harness import (
     capture_spacetime,
     config_hash,
     measure_latency,
-    paired_t_pvalue,
     run_sweep,
     spearman,
     summarize,
@@ -141,23 +140,6 @@ def test_spearman_edges():
     assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
     assert spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
     assert spearman([1, 1, 1], [1, 2, 3]) == 0.0  # degenerate ranks
-
-
-def test_paired_t_pvalue_matches_scipy():
-    rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randrange(3, 30)
-        diffs = [rng.gauss(rng.uniform(-1, 1), 1.0) for _ in range(n)]
-        ref = scipy_stats.ttest_rel(diffs, [0.0] * n,
-                                    alternative="less").pvalue
-        assert paired_t_pvalue(diffs) == pytest.approx(ref, rel=1e-9)
-
-
-def test_paired_t_pvalue_edges():
-    assert paired_t_pvalue([-1.0, -1.0, -1.0]) == 0.0  # zero variance, mean<0
-    assert paired_t_pvalue([1.0, 1.0]) == 1.0
-    with pytest.raises(HarnessError):
-        paired_t_pvalue([1.0])
 
 
 # ---- sweeps and CSV emission -------------------------------------------
@@ -389,14 +371,64 @@ def test_train_writes_and_resumes_rewards(tmp_path):
     assert seeds == [4 * 10_000 + e for e in episodes]
 
 
+def _reward_rows(path):
+    return [ln.split(",") for ln in path.read_text().splitlines()
+            if ln and not ln.startswith("#")]
+
+
+def _raising_at(seed, exc):
+    """Stands in for `harness.run_episode`, raising `exc` at `seed`."""
+    run_episode = harness.run_episode
+
+    def run(*args, **kwargs):
+        if kwargs["seed"] == seed:
+            raise exc
+        return run_episode(*args, **kwargs)
+
+    return run
+
+
+def test_train_saves_checkpoints_after_a_failed_last_episode(monkeypatch,
+                                                             tmp_path):
+    # a gridlocked last episode keeps the weights the run learned
+    monkeypatch.setattr(harness, "run_episode", _raising_at(
+        4 * 10_000 + 2, MetricsError("episode degenerate")))
+    result = train(load_builtin("desk"), system="fixed-ttc", episodes=3,
+                   seed=4, out_dir=tmp_path, checkpoint_every=3)
+    assert len(result.episodes) == 2
+    assert (tmp_path / "acc_agent.ckpt").exists()
+    rows = _reward_rows(tmp_path / "rewards.csv")
+    assert rows[0][0] == "episode"
+    assert [row[0] for row in rows[1:]] == ["0", "1"]
+
+
+def test_train_keeps_saved_rows_after_a_crash_and_resumes(monkeypatch,
+                                                          tmp_path):
+    sc = load_builtin("desk")
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run_episode",
+                  _raising_at(4 * 10_000 + 3, RuntimeError("crash")))
+        with pytest.raises(RuntimeError, match="crash"):
+            train(sc, system="fixed-ttc", episodes=5, seed=4,
+                  out_dir=tmp_path, checkpoint_every=2)
+    rewards = tmp_path / "rewards.csv"
+    assert [row[0] for row in _reward_rows(rewards)] == ["episode", "0", "1"]
+    train(sc, system="fixed-ttc", episodes=3, seed=4, out_dir=tmp_path,
+          resume=True, checkpoint_every=2)
+    rows = _reward_rows(rewards)[1:]
+    episodes = [int(row[0]) for row in rows]
+    assert episodes == [0, 1, 2, 3, 4]
+    assert [int(row[1]) for row in rows] == [4 * 10_000 + e for e in episodes]
+
+
 def test_train_many_matches_serial_train_in_seed_order(monkeypatch):
     monkeypatch.setenv("ACCSIM_WORKERS", "2")
     sc = load_builtin("desk")
     pooled = train_many(sc, [3, 1], system="fixed-ttc", episodes=2)
     for seed, got in zip((3, 1), pooled):
         want = train(sc, system="fixed-ttc", episodes=2, seed=seed)
-        assert (got.ttc_rewards, got.acc_rewards) == \
-            (want.ttc_rewards, want.acc_rewards)
+        assert [(e.ttc_reward, e.acc_reward) for e in got.episodes] == \
+            [(e.ttc_reward, e.acc_reward) for e in want.episodes]
         assert [e.metrics for e in got.episodes] == \
             [e.metrics for e in want.episodes]
 

@@ -147,6 +147,7 @@ def base_scenario():
     ("run", "warmup_duration", 9999.0, "warmup_duration"),
     ("run", "min_gap_for_near_collision", 0.0, "min_gap"),
     ("run", "accel_bound", -2.6, "accel_bound"),
+    ("run", "episode_duration", 120.5, "episode_duration"),
 ])
 def test_validation_rejects(section, field_name, value, match):
     sc = base_scenario()
