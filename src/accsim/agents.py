@@ -1,5 +1,5 @@
 """Dual-agent control: threshold adaptation plus gap control, and the
-episode loop that couples them to the simulator.
+episode stepper that couples them to the simulator.
 
 One agent adapts the time-to-collision danger threshold from segment-level
 traffic state; the other broadcasts a commanded inter-vehicle gap to every
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,9 +275,9 @@ class ControlPolicy:
     """Protocol for what drives equipped vehicles during an episode.
 
     `acc_agent` and `ttc_agent` are the gap and threshold learners, or
-    None; `run_episode` trains whichever of them are present.  Only a
-    policy that `controls_gap` makes decisions: `gap_action` at each, and
-    `ttc_action` at each threshold decision when it has a `ttc_agent`.
+    None; an `Episode` trains those present.  Only a policy that
+    `controls_gap` makes decisions: `gap_action` at each `Episode.decide`,
+    and `ttc_action` at each threshold decision when it has a `ttc_agent`.
     """
 
     controls_gap = False
@@ -325,7 +324,7 @@ class AdaptivePolicy(ControlPolicy):
 
     At deployment (eval mode) the broadcast threshold is low-pass
     filtered: abrupt t* jumps move the equipped fleet's standoff target,
-    and re-equilibrating every decision interval creates closing
+    and re-equilibrating at each `Episode` threshold decision creates closing
     transients (and near-collisions) that have nothing to do with the
     chosen threshold itself.  Training keeps the raw broadcast so each
     reward window still reflects the action that produced it.
@@ -390,7 +389,7 @@ def make_fixed_ttc_policy(scenario: Scenario, seed: int = 0,
                           initial_ttc_star=ttc_star)
 
 
-# ---- episode loop ------------------------------------------------------
+# ---- episodes ----------------------------------------------------------
 
 
 @dataclass
@@ -399,7 +398,6 @@ class EpisodeResult:
     ttc_reward: float
     acc_reward: float
     final_ttc_star: float
-    decision_latency_ms: list[float]  # empty unless measure_latency
 
 
 def _scan_world(world: World, collect_metrics: bool, speed_acc: list,
@@ -450,107 +448,98 @@ def _broadcast_ttc(world: World, ttc_star: float) -> None:
                 veh.danger_ttc = ttc_star
 
 
-def run_episode(scenario: Scenario, policy: ControlPolicy, *,
-                mode: str = "eval", seed: int = 0,
-                trajectory_sink=None, measure_latency: bool = False,
-                train_acc: bool = True) -> EpisodeResult:
-    """Simulate one episode under `policy`.
+class Episode:
+    """One episode of `policy` on `scenario`, a control interval at a time.
 
-    Every control decision, the first included, runs through one path:
-    encode the state, let each present agent learn from the reward of its
-    last action, then act and broadcast.  The first decision has nothing to
-    learn from; the last one does not act.  In ``train`` mode actions are
-    epsilon-greedy and the policy's `acc_agent` and `ttc_agent`, where
-    present, learn and end the episode; in ``eval`` mode actions are greedy
-    and no weights change.  With `train_acc` False the gap agent still acts
-    and ends the episode but learns nothing (the threshold phase of
-    alternating training).
+    `decide()` is the control decision at the current tick: encode the
+    state, let each present agent learn from the reward of its last
+    action, then act and broadcast.  The first decision has nothing to
+    learn from; the last one does not act.  `advance()` simulates the next
+    interval and scores it, setting `done` on the last tick, and `finish()`
+    returns the result.  In ``train`` mode actions are epsilon-greedy and
+    the policy's `acc_agent` and `ttc_agent`, where present, learn and end
+    the episode; in ``eval`` mode actions are greedy and no weights change.
+    With `train_acc` False the gap agent still acts and ends the episode but
+    learns nothing (the threshold phase of alternating training).
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    train = mode == "train"
-    scenario.validate()
-    geometry, run, demand = scenario.geometry, scenario.run, scenario.demand
-    weights = scenario.agents
 
-    schedule_rng = random.Random(seed)
-    schedule = spawn_schedule(demand, geometry, run.episode_duration,
-                              schedule_rng)
-    world = World(geometry, run, schedule, seed)
-    world.acc_enabled = policy.controls_gap
-    if trajectory_sink is not None:
-        world.trajectory_sink = trajectory_sink
+    def __init__(self, scenario: Scenario, policy: ControlPolicy, *,
+                 mode: str = "eval", seed: int = 0, train_acc: bool = True):
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        self.train = mode == "train"
+        scenario.validate()
+        self.scenario, self.policy, self.seed = scenario, policy, seed
+        run = scenario.run
+        schedule = spawn_schedule(scenario.demand, scenario.geometry,
+                                  run.episode_duration, random.Random(seed))
+        self.world = World(scenario.geometry, run, schedule, seed)
+        self.world.acc_enabled = policy.controls_gap
+        self.n_ticks = round(run.episode_duration / run.control_interval)
+        self.ttc_every = max(1, round(scenario.agents.ttc_decision_interval
+                                      / run.control_interval))
 
-    dt = run.physics_timestep
-    n_steps = round(run.episode_duration / dt)
-    spc = run.steps_per_control
-    interval = run.control_interval
-    ttc_every = max(1, round(scenario.agents.ttc_decision_interval / interval))
-    max_jerk = 2.0 * run.accel_bound / interval
-    warmup = run.warmup_duration
+        policy.begin_episode()
+        self.ttc_star = policy.initial_ttc_star
+        self.world.default_danger_ttc = self.ttc_star
+        self.acc_learner = policy.acc_agent if self.train and train_acc else None
+        self.ttc_learner = policy.ttc_agent if self.train else None
+        self.pending_gap = self.pending_ttc = None  # (state, action) to reward
 
-    policy.begin_episode()
-    ttc_star = policy.initial_ttc_star
-    world.default_danger_ttc = ttc_star
-    acc_learner = policy.acc_agent if train and train_acc else None
-    ttc_learner = policy.ttc_agent if train else None
-    latencies: list[float] = []
-    pending_gap = None  # (state, action) awaiting its reward
-    pending_ttc = None
+        self.ticks = 0  # control intervals simulated
+        self.done = False
+        self.ttc_tick = True  # the first decision sets the threshold too
+        self.r_acc = self.r_ttc = 0.0  # rewards of the last interval, window
+        self.flagged: set[int] = set()  # followers flagged in this window
+        self.window_event_start = len(self.world.events)
+        self.completed_start = 0
+        self.tally = SafetyTally()
+        self.speed_acc = [0.0, 0.0, 0]  # speed sum, |accel| sum, vehicle-steps
+        self.jerk_sq_sum, self.jerk_samples = 0.0, 0
+        self.ttc_reward = self.acc_reward = 0.0
 
-    def decide(ttc_tick: bool, is_last: bool, r_acc: float,
-               r_ttc: float) -> None:
-        """One timed decision; in train mode it includes the updates."""
-        nonlocal ttc_star, pending_gap, pending_ttc
-        t0 = _time.perf_counter()
-        state = encode_traffic_state(world, ttc_star)
-        if acc_learner is not None and pending_gap is not None:
-            acc_learner.store(*pending_gap, r_acc, state, is_last)
-            acc_learner.train()
+    def decide(self) -> None:
+        """One control decision, with the agents' updates in train mode;
+        none without gap control, or at the last eval tick (nothing learns)."""
+        policy, is_last = self.policy, self.done
+        if not policy.controls_gap or (is_last and not self.train):
+            return
+        world, train = self.world, self.train
+        state = encode_traffic_state(world, self.ttc_star)
+        if self.acc_learner is not None and self.pending_gap is not None:
+            self.acc_learner.store(*self.pending_gap, self.r_acc, state,
+                                   is_last)
+            self.acc_learner.train()
         if not is_last:
             action, gap = policy.gap_action(state, train)
             _broadcast_gap(world, gap)
-            pending_gap = (state, action)
-        if ttc_tick and policy.ttc_agent is not None:
-            if ttc_learner is not None and pending_ttc is not None:
-                ttc_learner.store(*pending_ttc, r_ttc, state, is_last)
-                ttc_learner.train()
+            self.pending_gap = (state, action)
+        if self.ttc_tick and policy.ttc_agent is not None:
+            if self.ttc_learner is not None and self.pending_ttc is not None:
+                self.ttc_learner.store(*self.pending_ttc, self.r_ttc, state,
+                                       is_last)
+                self.ttc_learner.train()
             if not is_last:
-                action, ttc_star = policy.ttc_action(state, train)
-                pending_ttc = (state, action)
-                _broadcast_ttc(world, ttc_star)
-        if measure_latency and not is_last:
-            latencies.append((_time.perf_counter() - t0) * 1e3)
+                action, self.ttc_star = policy.ttc_action(state, train)
+                self.pending_ttc = (state, action)
+                _broadcast_ttc(world, self.ttc_star)
 
-    if policy.controls_gap:  # base makes no decision
-        decide(True, False, 0.0, 0.0)
-
-    flagged: set[int] = set()  # followers flagged in the current window
-    window_event_start = len(world.events)
-    completed_start = 0
-    metrics_tally = SafetyTally()
-    speed_acc = [0.0, 0.0, 0]  # speed sum, |accel| sum, vehicle-steps
-    jerk_sq_sum = 0.0
-    jerk_samples = 0
-    ttc_reward_sum = 0.0
-    acc_reward_sum = 0.0
-    r_ttc = 0.0
-    ctrl_ticks = 0
-
-    for step in range(n_steps):
-        world.step()
-        past_warmup = world.time >= warmup
-        control = world.step_index % spc == 0
-        step_ttcs = _scan_world(world, past_warmup, speed_acc, flagged,
-                                ttc_star, control)
-        if not control:
-            continue
-        is_last = step == n_steps - 1
-        ctrl_ticks += 1
+    def advance(self) -> None:
+        """Simulate one control interval and score it."""
+        world, run, weights = self.world, self.scenario.run, self.scenario.agents
+        spc, interval = run.steps_per_control, run.control_interval
+        speed_acc, flagged, ttc_star = self.speed_acc, self.flagged, self.ttc_star
+        for i in range(1, spc + 1):
+            world.step()
+            past_warmup = world.time >= run.warmup_duration
+            step_ttcs = _scan_world(world, past_warmup, speed_acc, flagged,
+                                    ttc_star, i == spc)
+        self.ticks += 1
+        self.done = self.ticks == self.n_ticks
 
         # comfort: jerk of the commanded acceleration, sampled per interval
-        equipped_jerk_sq = 0.0
-        equipped_n = 0
+        jerk_sq_sum, jerk_samples = self.jerk_sq_sum, self.jerk_samples
+        equipped_jerk_sq, equipped_n = 0.0, 0
         for veh in world.vehicles():
             prev = veh.ctrl_accel_prev
             if prev == prev:  # not NaN: vehicle existed at the previous tick
@@ -562,62 +551,81 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
                     equipped_jerk_sq += jerk * jerk
                     equipped_n += 1
             veh.ctrl_accel_prev = veh.a
+        self.jerk_sq_sum, self.jerk_samples = jerk_sq_sum, jerk_samples
 
-        completed = world.all_completed[completed_start:]
-        completed_start = len(world.all_completed)
-        mean_delay = (sum(d for _, d in completed) / len(completed)
-                      if completed else None)
+        if self.policy.controls_gap:
+            completed = world.all_completed[self.completed_start:]
+            self.completed_start = len(world.all_completed)
+            mean_delay = (sum(d for _, d in completed) / len(completed)
+                          if completed else None)
+            r_e = reward_acc_efficiency(mean_delay,
+                                        self.scenario.geometry.mainline_length,
+                                        run.congestion_speed)
+            r_s = reward_acc_safety(step_ttcs, ttc_star)
+            rms_jerk = (math.sqrt(equipped_jerk_sq / equipped_n)
+                        if equipped_n else 0.0)
+            r_c = reward_acc_comfort(rms_jerk, 2.0 * run.accel_bound / interval)
+            self.r_acc = reward_acc_total(r_e, r_s, r_c, weights)
+            self.acc_reward += self.r_acc
 
-        r_e = reward_acc_efficiency(mean_delay, geometry.mainline_length,
-                                    run.congestion_speed)
-        r_s = reward_acc_safety(step_ttcs, ttc_star)
-        rms_jerk = math.sqrt(equipped_jerk_sq / equipped_n) if equipped_n else 0.0
-        r_c = reward_acc_comfort(rms_jerk, max_jerk)
-        r_acc = reward_acc_total(r_e, r_s, r_c, weights)
-        if policy.controls_gap:
-            acc_reward_sum += r_acc
-
-        ttc_tick = ctrl_ticks % ttc_every == 0 or is_last
-        if ttc_tick:
+        self.ttc_tick = self.ticks % self.ttc_every == 0 or self.done
+        if self.ttc_tick:
             tally = classify_safety_events(
-                flagged, world.events[window_event_start:])
+                flagged, world.events[self.window_event_start:])
             if past_warmup:
-                metrics_tally.fp += tally.fp
-                metrics_tally.fn += tally.fn
-            r_ttc = reward_ttc(tally, weights)
-            ttc_reward_sum += r_ttc
+                self.tally.fp += tally.fp
+                self.tally.fn += tally.fn
+            self.r_ttc = reward_ttc(tally, weights)
+            self.ttc_reward += self.r_ttc
             flagged.clear()
-            window_event_start = len(world.events)
+            self.window_event_start = len(world.events)
 
-        if policy.controls_gap:
-            decide(ttc_tick, is_last, r_acc, r_ttc)
+    def finish(self) -> EpisodeResult:
+        """End the agents' episode in train mode and return the result;
+        `MetricsError` if no vehicle completed its traversal after warmup."""
+        if self.train:
+            for agent in (self.policy.acc_agent, self.policy.ttc_agent):
+                if agent is not None:
+                    agent.end_episode()
+        scenario, world = self.scenario, self.world
+        warmup = scenario.run.warmup_duration
+        nc = sum(1 for e in world.events
+                 if e.kind == EVENT_NEAR_COLLISION and e.time >= warmup)
+        self.tally.ac = sum(1 for e in world.events if e.time >= warmup
+                            and e.kind == EVENT_ACTUAL_COLLISION)
+        delays = [d for t_done, d in world.all_completed if t_done >= warmup]
+        if not delays:
+            raise MetricsError(
+                f"episode degenerate: no vehicle completed traversal "
+                f"(seed {self.seed}, scenario {scenario.name})")
+        speed_sum, accel_sum, n = self.speed_acc
+        metrics = EpisodeMetrics(
+            seed=self.seed,
+            scenario=scenario.name,
+            penetration=scenario.demand.penetration_rate,
+            ramp_flow=scenario.demand.ramp_flow,
+            near_collisions=nc,
+            tally=self.tally,
+            mean_speed=speed_sum / n if n else 0.0,
+            mean_delay=sum(delays) / len(delays),
+            mean_abs_accel=accel_sum / n if n else 0.0,
+            mean_sq_jerk=(self.jerk_sq_sum / self.jerk_samples
+                          if self.jerk_samples else 0.0),
+        )
+        return EpisodeResult(metrics, self.ttc_reward, self.acc_reward,
+                             self.ttc_star)
 
-    if train:
-        for agent in (policy.acc_agent, policy.ttc_agent):
-            if agent is not None:
-                agent.end_episode()
 
-    nc = sum(1 for e in world.events
-             if e.kind == EVENT_NEAR_COLLISION and e.time >= warmup)
-    metrics_tally.ac = sum(1 for e in world.events
-                           if e.kind == EVENT_ACTUAL_COLLISION
-                           and e.time >= warmup)
-    delays = [d for t_done, d in world.all_completed if t_done >= warmup]
-    if not delays:
-        raise MetricsError(
-            f"episode degenerate: no vehicle completed traversal "
-            f"(seed {seed}, scenario {scenario.name})")
-    metrics = EpisodeMetrics(
-        seed=seed,
-        scenario=scenario.name,
-        penetration=demand.penetration_rate,
-        ramp_flow=demand.ramp_flow,
-        near_collisions=nc,
-        tally=metrics_tally,
-        mean_speed=speed_acc[0] / speed_acc[2] if speed_acc[2] else 0.0,
-        mean_delay=sum(delays) / len(delays),
-        mean_abs_accel=speed_acc[1] / speed_acc[2] if speed_acc[2] else 0.0,
-        mean_sq_jerk=jerk_sq_sum / jerk_samples if jerk_samples else 0.0,
-    )
-    return EpisodeResult(metrics, ttc_reward_sum, acc_reward_sum, ttc_star,
-                         latencies)
+def run_episode(scenario: Scenario, policy: ControlPolicy, *,
+                mode: str = "eval", seed: int = 0, trajectory_sink=None,
+                train_acc: bool = True) -> EpisodeResult:
+    """Simulate one `Episode`; `trajectory_sink`, if any, gets the world
+    after every physics step, before vehicles leave."""
+    episode = Episode(scenario, policy, mode=mode, seed=seed,
+                      train_acc=train_acc)
+    episode.world.trajectory_sink = trajectory_sink
+    episode.decide()
+    while not episode.done:
+        episode.advance()
+        episode.decide()
+    return episode.finish()

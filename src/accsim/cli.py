@@ -22,6 +22,7 @@ from .harness import (
     run_sweep,
     spearman,
     summarize,
+    write_csv,
     write_summary_csv,
     write_sweep_csv,
 )
@@ -126,15 +127,12 @@ def cmd_latency(args) -> int:
     mean_ms = statistics.fmean(latencies)
     pct = {p: ordered[min(len(ordered) - 1, int(p / 100 * len(ordered)))]
            for p in (50, 90, 95, 99)}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "latency.csv", "w", newline="") as fh:
-        fh.write(f"# config={config_hash(scenario)}\n")
-        fh.write(f"# mean_ms={mean_ms:.6f} "
-                 + " ".join(f"p{p}={v:.6f}" for p, v in pct.items()) + "\n")
-        fh.write("decision,latency_ms\n")
-        for i, ms in enumerate(latencies):
-            fh.write(f"{i},{ms:.6f}\n")
+    comments = [f"config={config_hash(scenario)}",
+                f"mean_ms={mean_ms:.6f} "
+                + " ".join(f"p{p}={v:.6f}" for p, v in pct.items())]
+    write_csv(Path(args.out) / "latency.csv", comments,
+              ("decision", "latency_ms"),
+              [[i, f"{ms:.6f}"] for i, ms in enumerate(latencies)])
     print(f"decisions={len(latencies)} mean={mean_ms:.3f}ms "
           f"p50={pct[50]:.3f}ms p99={pct[99]:.3f}ms")
     return 0

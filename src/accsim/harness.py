@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 from .agents import (
     AdaptivePolicy,
     ControlPolicy,
+    Episode,
     EpisodeResult,
     NoAccPolicy,
     ScriptedGapPolicy,
@@ -324,8 +325,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 # ---- CSV emission ------------------------------------------------------
 
 
-def _write_csv(path, header_comments: list[str], columns: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
+def write_csv(path, header_comments: list[str], columns: Sequence[str],
+              rows: Sequence[Sequence]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -346,7 +347,7 @@ def write_sweep_csv(path, scenario: Scenario, sweep: SweepSpec,
     columns = ("system", "parameter", "value") + EPISODE_CSV_COLUMNS
     data = [[r.system, sweep.parameter, r.value] + r.result.metrics.csv_row()
             for r in rows]
-    _write_csv(path, comments, columns, data)
+    write_csv(path, comments, columns, data)
 
 
 def write_summary_csv(path, scenario: Scenario, sweep: SweepSpec,
@@ -363,7 +364,7 @@ def write_summary_csv(path, scenario: Scenario, sweep: SweepSpec,
              f"{s['nc_mean']:.6f}", f"{s['nc_std']:.6f}",
              f"{s['speed_mean']:.6f}", f"{s['speed_std']:.6f}",
              f"{s['delay_mean']:.6f}"] for s in summarize(rows)]
-    _write_csv(path, comments, columns, data)
+    write_csv(path, comments, columns, data)
 
 
 # ---- training ----------------------------------------------------------
@@ -418,9 +419,9 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
             f"training_seed={seed}",
             f"system={system}",
         ]
-        _write_csv(rewards_path, comments,
-                   ("episode", "seed", "ttc_reward", "acc_reward",
-                    "near_collisions", "mean_speed", "final_ttc_star"), [])
+        write_csv(rewards_path, comments,
+                  ("episode", "seed", "ttc_reward", "acc_reward",
+                   "near_collisions", "mean_speed", "final_ttc_star"), [])
 
     schedule = scenario.agents.training_schedule
     alternating = (schedule == "alternating"
@@ -496,20 +497,23 @@ def train_many(scenario: Scenario, seeds: Sequence[int], *,
 
 def measure_latency(scenario: Scenario, policy: ControlPolicy, *,
                     min_decisions: int = 1000, base_seed: int = 100) -> list[float]:
-    """Per-decision latencies (ms) over however many episodes are needed.
-
-    Each sample is one whole control decision: state encoding, the gap
-    and threshold agents and both broadcasts.
-    """
+    """Per-decision latencies (ms) over as many whole eval episodes as
+    `min_decisions` needs.  Each sample times one acting `Episode.decide()`:
+    state encoding, the gap and threshold agents and both broadcasts."""
+    if min_decisions < 1:
+        raise HarnessError(f"min_decisions must be >= 1, got {min_decisions}")
+    if not policy.controls_gap:
+        raise HarnessError("a policy without gap control makes no decision")
     latencies: list[float] = []
     seed = base_seed
     while len(latencies) < min_decisions:
-        res = run_episode(scenario, policy, mode="eval", seed=seed,
-                          measure_latency=True)
-        latencies.extend(res.decision_latency_ms)
+        episode = Episode(scenario, policy, mode="eval", seed=seed)
+        while not episode.done:
+            t0 = time.perf_counter()
+            episode.decide()
+            latencies.append((time.perf_counter() - t0) * 1e3)
+            episode.advance()
         seed += 1
-        if seed - base_seed > 200:
-            raise HarnessError("latency run failed to accumulate decisions")
     return latencies
 
 
@@ -537,5 +541,5 @@ def capture_spacetime(scenario: Scenario, policy: ControlPolicy, *,
                  f"{r.speed:.3f}", f"{r.accel:.3f}",
                  "inf" if math.isinf(r.gap) else f"{r.gap:.3f}",
                  int(r.equipped)] for r in rows]
-        _write_csv(out_path, comments, TRAJECTORY_CSV_COLUMNS, data)
+        write_csv(out_path, comments, TRAJECTORY_CSV_COLUMNS, data)
     return rows

@@ -13,6 +13,7 @@ from accsim.agents import (
     MEAN_TTC_CAP,
     STATE_DIM,
     TTC_ACTION_COUNT,
+    Episode,
     NoAccPolicy,
     ScriptedGapPolicy,
     encode_traffic_state,
@@ -380,6 +381,48 @@ def test_zero_penetration_equipped_system_equals_baseline():
     assert base.metrics.near_collisions == acc.metrics.near_collisions
     assert base.metrics.mean_speed == acc.metrics.mean_speed
     assert base.metrics.mean_delay == acc.metrics.mean_delay
+
+
+@pytest.mark.parametrize("interval, ticks, windows, every_s", [
+    (1.0, 126, 13, 10.0),
+    (3.0, 42, 14, 9.0),
+    (7.0, 18, 18, 7.0),
+])
+def test_threshold_windows_close_at_rounded_ttc_every(interval, ticks,
+                                                      windows, every_s):
+    """A threshold window closes every ``round(ttc_decision_interval /
+    control_interval)`` ticks and at the last tick, and each window that
+    does not end the episode is followed by a threshold decision.
+
+    The rounding is today's behaviour, kept on purpose: at a 3 s interval
+    the threshold is decided every 9 s, not 10 s, and at 7 s every 7 s.
+    Rejecting a ratio that is not whole would reject criterion 10's 3 s
+    interval.
+    """
+    from dataclasses import replace
+    sc = load_builtin("desk")
+    sc = sc.replace(run=replace(sc.run, episode_duration=126.0,
+                                control_interval=interval))
+    policy = make_adaptive_policy(sc)
+    episode = Episode(sc, policy, seed=3)
+    decided = []  # world time of each threshold decision
+    ttc_action = policy.ttc_action
+
+    def recorded_ttc_action(state, train):
+        decided.append(episode.world.time)
+        return ttc_action(state, train)
+
+    policy.ttc_action = recorded_ttc_action
+    closed = 0
+    episode.decide()
+    while not episode.done:
+        episode.advance()
+        closed += episode.ttc_tick
+        episode.decide()
+    assert episode.ticks == ticks
+    assert closed == windows
+    assert len(decided) == windows
+    assert {round(b - a, 6) for a, b in zip(decided, decided[1:])} == {every_s}
 
 
 def test_eval_mode_does_not_mutate_agents():

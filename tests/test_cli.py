@@ -98,8 +98,9 @@ def test_motivation_small(tmp_path, capsys):
     ["sweep", "--parameter", "penetration", "--values", "0.8",
      "--episodes", "0"],
     ["train", "--episodes", "1", "--checkpoint-every", "0"],
+    ["latency", "--min-decisions", "0"],
 ], ids=["bad-values", "no-values", "motivation-no-values", "no-episodes",
-        "checkpoint-every-0"])
+        "checkpoint-every-0", "latency-no-decisions"])
 def test_bad_sweep_values_is_usage_error(tmp_path, capsys, argv):
     code = main(argv + ["--config", "desk", "--out", str(tmp_path)])
     assert code == EXIT_USAGE

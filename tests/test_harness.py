@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from accsim import agents, harness
+from accsim import agents, harness, simcore
 from accsim.harness import (
     HarnessError,
     PolicySpec,
@@ -476,6 +476,24 @@ def test_measure_latency_accumulates():
     assert len(lats) >= 50
     assert all(l >= 0.0 for l in lats)
     assert sum(lats) / len(lats) < 50.0  # sanity, not the acceptance bound
+
+
+def test_measure_latency_takes_one_sample_per_acting_decision():
+    # one 120-tick desk episode: the first decision and one at every tick
+    # but the last, which acts on nothing and is not timed
+    lats = measure_latency(load_builtin("desk"), ScriptedGapPolicy(4.0),
+                           min_decisions=1)
+    assert len(lats) == 120
+
+
+def test_measure_latency_rejects_policy_without_decisions(monkeypatch):
+    # base makes no decision, so no episode may run before the error
+    def no_physics(world):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(simcore.World, "step", no_physics)
+    with pytest.raises(HarnessError, match="no decision"):
+        measure_latency(load_builtin("desk"), NoAccPolicy())
 
 
 def test_measure_latency_times_whole_decision(monkeypatch):
