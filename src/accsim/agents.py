@@ -455,10 +455,13 @@ class Episode:
     state, let each present agent learn from the reward of its last
     action, then act and broadcast.  The first decision has nothing to
     learn from; the last one does not act.  `advance()` simulates the next
-    interval and scores it, setting `done` on the last tick, and `finish()`
-    returns the result.  In ``train`` mode actions are epsilon-greedy and
-    the policy's `acc_agent` and `ttc_agent`, where present, learn and end
-    the episode; in ``eval`` mode actions are greedy and no weights change.
+    interval, running `scan` after each physics step and `score` at its
+    end, which sets `done` on the last tick, and `finish()` returns the
+    result.  A lockstep batch (`accsim.lockstep`) steps the world and scans
+    for many episodes at once, then calls `score` and `decide` on each.  In
+    ``train`` mode actions are epsilon-greedy and the policy's `acc_agent`
+    and `ttc_agent`, where present, learn and end the episode; in ``eval``
+    mode actions are greedy and no weights change.
     With `train_acc` False the gap agent still acts and ends the episode but
     learns nothing (the threshold phase of alternating training).
     """
@@ -495,6 +498,8 @@ class Episode:
         self.completed_start = 0
         self.tally = SafetyTally()
         self.speed_acc = [0.0, 0.0, 0]  # speed sum, |accel| sum, vehicle-steps
+        self.past_warmup = False  # whether the last scanned step counts
+        self.step_ttcs: list[float] = []  # closing-pair TTCs, last control step
         self.jerk_sq_sum, self.jerk_samples = 0.0, 0
         self.ttc_reward = self.acc_reward = 0.0
 
@@ -526,14 +531,26 @@ class Episode:
 
     def advance(self) -> None:
         """Simulate one control interval and score it."""
-        world, run, weights = self.world, self.scenario.run, self.scenario.agents
-        spc, interval = run.steps_per_control, run.control_interval
-        speed_acc, flagged, ttc_star = self.speed_acc, self.flagged, self.ttc_star
+        world = self.world
+        spc = self.scenario.run.steps_per_control
         for i in range(1, spc + 1):
             world.step()
-            past_warmup = world.time >= run.warmup_duration
-            step_ttcs = _scan_world(world, past_warmup, speed_acc, flagged,
-                                    ttc_star, i == spc)
+            self.scan(i == spc)
+        self.score()
+
+    def scan(self, control: bool) -> None:
+        """The danger scan after one physics step; a `control` step, the
+        interval's last, keeps its closing pairs' TTCs for `score`."""
+        world = self.world
+        self.past_warmup = world.time >= self.scenario.run.warmup_duration
+        self.step_ttcs = _scan_world(world, self.past_warmup, self.speed_acc,
+                                     self.flagged, self.ttc_star, control)
+
+    def score(self) -> None:
+        """Score the interval that the last `scan` closed."""
+        world, run, weights = self.world, self.scenario.run, self.scenario.agents
+        interval, ttc_star = run.control_interval, self.ttc_star
+        past_warmup, flagged = self.past_warmup, self.flagged
         self.ticks += 1
         self.done = self.ticks == self.n_ticks
 
@@ -561,7 +578,7 @@ class Episode:
             r_e = reward_acc_efficiency(mean_delay,
                                         self.scenario.geometry.mainline_length,
                                         run.congestion_speed)
-            r_s = reward_acc_safety(step_ttcs, ttc_star)
+            r_s = reward_acc_safety(self.step_ttcs, ttc_star)
             rms_jerk = (math.sqrt(equipped_jerk_sq / equipped_n)
                         if equipped_n else 0.0)
             r_c = reward_acc_comfort(rms_jerk, 2.0 * run.accel_bound / interval)

@@ -174,13 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "cruise-control stack")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, episodes=20):
+    def common(p, episodes=None):
+        """The options every command takes; with `episodes`, also
+        ``--episodes`` (that default) and ``--verbose`` progress."""
         p.add_argument("--config", default="onramp",
                        help="builtin scenario name or path to a .cfg file")
         p.add_argument("--seed", type=int, default=100)
-        p.add_argument("--episodes", type=int, default=episodes)
         p.add_argument("--out", default="runs")
-        p.add_argument("--verbose", action="store_true")
+        if episodes is not None:
+            p.add_argument("--episodes", type=int, default=episodes)
+            p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("train", help="train the SAINT or fixed-threshold stack")
     common(p, episodes=300)
@@ -193,14 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("motivation",
                        help="fixed-threshold sweep reproducing the "
                             "safety/efficiency trade-off")
-    common(p)
+    common(p, episodes=20)
     p.add_argument("--values", default="1,2,3,4,5,6,7,8,9,10")
     p.add_argument("--penetration", type=float, default=1.0)
     p.add_argument("--ramp-flow", type=float, default=None)
     p.set_defaults(func=cmd_motivation)
 
     p = sub.add_parser("sweep", help="paired-seed parameter sweep")
-    common(p)
+    common(p, episodes=20)
     p.add_argument("--parameter", required=True,
                    choices=harness.SWEEP_PARAMETERS)
     p.add_argument("--values", required=True)
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate-ttc",
                        help="compare SAINT, fixed-threshold ablation and "
                             "baseline on paired seeds")
-    common(p)
+    common(p, episodes=20)
     p.add_argument("--saint-dir", default=None)
     p.add_argument("--fixed-dir", default=None)
     p.add_argument("--fixed-ttc-star", type=float, default=4.0)

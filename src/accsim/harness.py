@@ -16,7 +16,6 @@ import statistics
 import time
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -78,6 +77,9 @@ def _pool_imap(fn, tasks: list):
     process pool of at most `worker_count()` workers (none for one)."""
     workers = min(worker_count(), len(tasks))
     if workers > 1:
+        # imported here: a run on one worker never loads multiprocessing
+        from multiprocessing import get_context
+
         with get_context("spawn").Pool(workers) as pool:
             yield from pool.imap_unordered(fn, tasks)
     else:
@@ -179,17 +181,63 @@ class SweepRow:
     result: EpisodeResult
 
 
+def _task_error(key: tuple, exc: MetricsError) -> MetricsError:
+    label, value, seed = key
+    return MetricsError(f"sweep task {label} {value:g} seed {seed}: {exc}")
+
+
 def _run_task(task) -> tuple:
-    """Worker entry: evaluate one (system, point, seed) episode."""
+    """Evaluate one (system, point, seed) episode."""
     key, scenario, spec, seed = task
     policy = spec.build(scenario)
     try:
         result = run_episode(scenario, policy, mode="eval", seed=seed)
     except MetricsError as exc:
-        label, value = key[:2]
-        raise MetricsError(
-            f"sweep task {label} {value:g} seed {seed}: {exc}") from None
+        raise _task_error(key, exc) from None
     return key, result
+
+
+def _run_batch(tasks: list) -> list[tuple]:
+    """Evaluate tasks of one geometry and run configuration in lockstep;
+    each result equals `_run_task`'s."""
+    from .lockstep import run_lockstep
+
+    episodes = [Episode(scenario, spec.build(scenario), mode="eval",
+                        seed=seed) for _, scenario, spec, seed in tasks]
+    run_lockstep(episodes)
+    out = []
+    for (key, *_), episode in zip(tasks, episodes):
+        try:
+            out.append((key, episode.finish()))
+        except MetricsError as exc:
+            raise _task_error(key, exc) from None
+    return out
+
+
+def _run_chunk(tasks: list) -> list[tuple]:
+    """Worker entry: (key, result) for each task of one chunk."""
+    if len(tasks) == 1:
+        return [_run_task(tasks[0])]
+    return _run_batch(tasks)
+
+
+def _chunks(tasks: list, workers: int) -> list[list]:
+    """Tasks that share geometry and run configuration, split into at most
+    `workers` contiguous chunks of near-equal size per such group."""
+    groups: dict = {}
+    for task in tasks:
+        scenario = task[1]
+        groups.setdefault((scenario.geometry, scenario.run), []).append(task)
+    chunks = []
+    for group in groups.values():
+        n = min(workers, len(group))
+        size, extra = divmod(len(group), n)
+        start = 0
+        for i in range(n):
+            stop = start + size + (i < extra)
+            chunks.append(group[start:stop])
+            start = stop
+    return chunks
 
 
 def _system_label(spec: PolicySpec) -> str:
@@ -215,7 +263,11 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
     that result fills the row of every value with `metrics.penetration` set
     to the row's value.  A `ttc_star_fixed` sweep rejects a system without a fixed
     threshold, since its values are the systems' own thresholds.
-    `progress` gets one message per row.
+    Tasks that share geometry and run configuration are split into one
+    chunk per worker, and each worker steps its chunk's episodes in
+    lockstep (`accsim.lockstep`); a chunk of one runs `run_episode`.  Either
+    way each row equals its episode run on its own.  `progress` gets one
+    message per row, as each chunk finishes.
     """
     if not sweep.values:
         raise HarnessError("a sweep needs at least one value")
@@ -256,14 +308,18 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
                     tasks.append((key, point_scenario, point_spec, seed))
     outputs = {}
     start = time.perf_counter()
-    for done, (key, result) in enumerate(_pool_imap(_run_task, tasks), 1):
+    done = 0
+    for results in _pool_imap(_run_chunk, _chunks(tasks, worker_count())):
+        done += len(results)
         eta = (time.perf_counter() - start) / done * (len(tasks) - done)
-        for row_key in fills[key]:
-            outputs[row_key] = (result if row_key == key
-                                else _at_penetration(result, row_key[1]))
-            if progress:
-                progress(f"[{len(outputs)}/{len(keys)}] {row_key[0]} "
-                         f"{row_key[1]:g} seed {row_key[2]}, eta {eta:.0f}s")
+        for key, result in results:
+            for row_key in fills[key]:
+                outputs[row_key] = (result if row_key == key
+                                    else _at_penetration(result, row_key[1]))
+                if progress:
+                    progress(f"[{len(outputs)}/{len(keys)}] {row_key[0]} "
+                             f"{row_key[1]:g} seed {row_key[2]}, "
+                             f"eta {eta:.0f}s")
     rows = []
     for key in sorted(outputs):  # deterministic merge order
         label, value, seed = key
@@ -389,7 +445,7 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
     appended to ``rewards.csv``, so its rows never describe learning the
     checkpoints lack.  With ``resume`` and an ``out_dir`` containing
     checkpoints, training restarts from the saved weights and epsilon state,
-    numbering episodes on from the rows in ``rewards.csv``.
+    numbering episodes on from the last row of ``rewards.csv``.
     """
     if checkpoint_every < 1:
         raise HarnessError(
@@ -409,10 +465,11 @@ def train(scenario: Scenario, *, system: str = "saint", episodes: int = 300,
             if path.exists():
                 agent.restore(path)
         if rewards_path.exists():
-            with open(rewards_path) as fh:
-                lines = [ln for ln in fh
-                         if ln.strip() and not ln.startswith("#")]
-            start_ep = max(0, len(lines) - 1)  # minus the header row
+            with open(rewards_path, newline="") as fh:
+                rows = list(csv.reader(ln for ln in fh
+                                       if ln.strip() and not ln.startswith("#")))
+            if len(rows) > 1:  # past the header: number on from the last row
+                start_ep = int(rows[-1][0]) + 1
     if out is not None and start_ep == 0:
         comments = [
             f"config={config_hash(scenario)}",

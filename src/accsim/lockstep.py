@@ -1,0 +1,632 @@
+"""Lockstep evaluation: one physics step advances a whole batch of episodes.
+
+Every episode of a batch keeps its own scalar `World`, its segment, which
+holds what the episode owns: its spawn schedule and pending queue, event
+log, completions, counters and `Vehicle` objects.  A `LockstepWorld` steps
+all segments together through `World.step`: car following, gap control,
+event detection and despawns run as numpy passes over flat per-vehicle
+arrays, while spawns and lane changes run each segment's own scalar code.
+`run_lockstep` scans each control interval's steps for the episodes'
+danger flags and metric sums in one pass, then calls each `Episode`'s
+`score` and `decide`, so every episode of a batch equals its scalar
+`run_episode` bit for bit.
+
+The arrays keep the scalar arithmetic.  Their rows are each segment's walk
+order: by segment, then by lane in ``lane_ids`` order, then front-first,
+so a row's leader is the row before it.  Each float expression keeps the
+scalar association (``a * b * c`` is ``(a * b) * c``).  Each branch is a
+mask of the same comparison; a cap such as ``if v > cap: v = cap`` is
+``np.minimum(cap, v)``, which gives ``v`` where the two are equal.  Each
+segment's noise comes from a copy of its own generator, drawn in its walk
+order.  Every sum the scalar code accumulates vehicle by vehicle is
+accumulated in the same order with ``np.add.accumulate``, never with
+numpy's pairwise sums.
+
+A step over a few hundred vehicles costs little more than one over twenty,
+so only batches pay: a batch of one runs slower than the scalar `World`.
+"""
+
+from __future__ import annotations
+
+from random import Random
+from typing import Optional
+
+import numpy as np
+
+from .agents import Episode
+from .scenario import RAMP_LANE, ROUTE_EXIT, ROUTE_THROUGH
+from .simcore import (
+    ACC_COMFORT_DECEL,
+    ACC_KD,
+    ACC_KP,
+    ACC_MIN_STANDOFF,
+    ACC_STANDOFF_PER_TTC,
+    CRUISE_GAIN,
+    EVENT_ACTUAL_COLLISION,
+    EVENT_DESPAWN,
+    EVENT_NEAR_COLLISION,
+    FREE_FLOW_SPEED,
+    World,
+)
+
+
+def _krauss(v_follower, v_leader, gap, reaction_time, max_decel):
+    """`simcore.krauss_safe_speed` over arrays, in the same association:
+    ``v_leader + (gap - v_leader * reaction_time) / ((v_follower + v_leader)
+    / (2.0 * max_decel) + reaction_time)``, or 0.0 unless positive."""
+    den = v_follower + v_leader
+    den /= 2.0 * max_decel
+    den += reaction_time
+    v_safe = gap - v_leader * reaction_time
+    v_safe /= den
+    v_safe += v_leader
+    return np.maximum(v_safe, 0.0, out=v_safe)
+
+
+def _leaders(col: np.ndarray) -> np.ndarray:
+    """Each row's predecessor value: its leader's, where it has one."""
+    out = np.empty_like(col)
+    out[1:] = col[:-1]
+    out[0] = 0.0  # row 0 starts a lane
+    return out
+
+
+class _Draws:
+    """One segment's driver noise: the values its `random.Random` would
+    return, in order, made in blocks by numpy's MT19937 from a copy of the
+    generator's state.  Both generators are the same Mersenne Twister and
+    build ``random()`` from two 32-bit outputs the same way."""
+
+    BLOCK = 1024
+
+    def __init__(self, rng: Random):
+        state = rng.getstate()[1]  # 624 words, then the position
+        self._mt = np.random.MT19937(0)
+        self._mt.state = {"bit_generator": "MT19937",
+                          "state": {"key": np.array(state[:-1],
+                                                    dtype=np.uint32),
+                                    "pos": state[-1]}}
+        self._buf = np.zeros(0)
+        self._pos = 0
+
+    def take(self, k: int) -> np.ndarray:
+        """The next `k` draws."""
+        if self._pos + k > len(self._buf):
+            raw = self._mt.random_raw(2 * max(k, self.BLOCK))
+            fresh = ((raw[0::2] >> 5) * 67108864.0 + (raw[1::2] >> 6)) \
+                * (1.0 / 9007199254740992.0)
+            self._buf = np.concatenate((self._buf[self._pos:], fresh))
+            self._pos = 0
+        self._pos += k
+        return self._buf[self._pos - k:self._pos]
+
+
+class _Rows:
+    """Where each lane's rows start in one order.
+
+    Pair ``j`` is row ``j`` followed by row ``j + 1``; `lane_starts` lists
+    the pairs whose second row starts a lane, so it has no leader.
+    """
+
+    __slots__ = ("group_start", "first", "lane_starts", "ramp")
+
+    def __init__(self, lane_len: np.ndarray, group_ramp: Optional[np.ndarray]):
+        group_start = np.zeros(len(lane_len) + 1, dtype=np.intp)
+        np.cumsum(lane_len, out=group_start[1:])
+        self.group_start = group_start
+        self.first = group_start[lane_len.nonzero()[0]]  # no leader
+        self.lane_starts = self.first[1:] - 1
+        self.ramp = (None if group_ramp is None
+                     else np.repeat(group_ramp, lane_len).nonzero()[0])
+
+
+# Rows of `LockstepWorld._f`, per-slot floats: the state, then the vehicle's
+# constants.
+X, V, A, LENGTH, TAU, NOISE = range(6)
+# Rows of `LockstepWorld._b`, per-slot flags.
+ACC, DRAWS, LATCH, EXIT = range(4)
+
+
+class LockstepWorld(World):
+    """The segments of a batch, stepped together through `World.step`.
+
+    It holds no vehicle in its own `lanes`: `vehicle_count` counts every
+    segment's, and the segments' lane lists hold the `Vehicle` objects in
+    the order of the rows.  The arrays hold the vehicles' state.  The
+    objects' ``x`` and ``v`` are written before each lane-change pass and
+    before a spawn reads a lane's rear vehicle; `sync_vehicles` writes
+    ``x``, ``v`` and ``a`` for whatever reads the objects next.  Each
+    segment's commanded gap and danger threshold are its
+    ``default_gap_cmd`` and ``default_danger_ttc``, taken by
+    `read_commands`: every actuated vehicle carries those values.  The
+    segments' `rng` is read once, here; their draws come from `_Draws`.
+    """
+
+    def __init__(self, segments: list[World]):
+        first = segments[0]
+        for seg in segments:
+            if seg.geometry != first.geometry or seg.run != first.run:
+                raise ValueError("a lockstep batch needs one geometry and "
+                                 "one run configuration")
+            if seg.step_index or seg.vehicle_count():
+                raise ValueError("a lockstep batch starts from new worlds")
+        super().__init__(first.geometry, first.run, [], 0)
+        self.segments = segments
+        n_seg, n_lanes = len(segments), len(self.lane_ids)
+        self._n_lanes = n_lanes
+        # Segment s's vehicle with id k lives in slot base[s] + k.
+        sizes = [len(seg._schedule) for seg in segments]
+        self._base = np.cumsum([0] + sizes[:-1]).tolist()
+        self._slot_base = np.array(self._base, dtype=np.intp)
+        self._slot_seg = np.repeat(np.arange(n_seg, dtype=np.int32), sizes)
+        self._f = np.zeros((NOISE + 1, sum(sizes)))
+        self._b = np.zeros((EXIT + 1, sum(sizes)), dtype=bool)
+        self._objs = np.empty(sum(sizes), dtype=object)
+        self._order = np.zeros(0, dtype=np.intp)  # slot of each row
+        self._lane_len = np.zeros(n_seg * n_lanes, dtype=np.intp)
+        self._rows: Optional[_Rows] = None  # built on demand
+        self._cols = None  # (x, v, a, length) by row, gathered on demand
+        self._streams = [_Draws(seg.rng) for seg in segments]
+        self._drawing = [0] * n_seg  # live vehicles that draw noise
+        self._gap_cmd = np.zeros(n_seg)
+        self._danger_ttc = np.zeros(n_seg)
+        self._aim = np.zeros(n_seg)  # standoff the danger reaction aims at
+        self._exiters = False  # whether an exit-route vehicle ever spawned
+        self.read_commands()
+        # lane facts per group (segment, lane)
+        lane_ids = np.array(self.lane_ids)
+        self._group_ramp = (np.tile(lane_ids == RAMP_LANE, n_seg)
+                            if self.ramp_end is not None else None)
+        self._group_lane0 = np.tile(lane_ids == 0, n_seg)
+
+    # ---- bookkeeping ---------------------------------------------------
+
+    def vehicle_count(self) -> int:
+        return len(self._order)
+
+    def read_commands(self) -> None:
+        """Take each segment's commanded gap and danger threshold."""
+        for s, seg in enumerate(self.segments):
+            self._gap_cmd[s] = seg.default_gap_cmd
+            self._danger_ttc[s] = seg.default_danger_ttc
+            self._aim[s] = (ACC_MIN_STANDOFF
+                            + ACC_STANDOFF_PER_TTC * seg.default_danger_ttc)
+
+    def sync_vehicles(self) -> None:
+        """Write every vehicle's ``x``, ``v`` and ``a`` to its object."""
+        x, v, a, _ = self._columns()
+        for veh, x, v, a in zip(self._objs[self._order].tolist(),
+                                x.tolist(), v.tolist(), a.tolist()):
+            veh.x = x
+            veh.v = v
+            veh.a = a
+
+    def record(self) -> tuple:
+        """(time, order, lane lengths, (x, v, a, length) by row) now."""
+        return self.time, self._order, self._lane_len, self._columns()
+
+    def _structure(self) -> _Rows:
+        if self._rows is None:
+            self._rows = _Rows(self._lane_len, self._group_ramp)
+        return self._rows
+
+    def _columns(self) -> tuple:
+        if self._cols is None:
+            self._cols = tuple(self._f[:TAU].take(self._order, axis=1))
+        return self._cols
+
+    def _set_order(self, order: np.ndarray, lane_len: np.ndarray) -> None:
+        self._order = order
+        self._lane_len = lane_len
+        self._rows = self._cols = None
+
+    def _rebuild_order(self, changed) -> None:
+        """Rows from the lane lists of the segments in `changed`, after
+        those lists changed; the other segments keep theirs."""
+        n_lanes = self._n_lanes
+        bounds = [0] + np.cumsum(
+            self._lane_len.reshape(-1, n_lanes).sum(axis=1)).tolist()
+        parts, lane_len = [], self._lane_len.copy()
+        for s, (base, seg) in enumerate(zip(self._base, self.segments)):
+            if s not in changed:
+                parts.append(self._order[bounds[s]:bounds[s + 1]])
+                continue
+            slots = []
+            for li, lid in enumerate(self.lane_ids):
+                lane = seg.lanes[lid]
+                lane_len[s * n_lanes + li] = len(lane)
+                slots += [base + veh.id for veh in lane]
+            parts.append(np.array(slots, dtype=np.intp))
+        self._set_order(np.concatenate(parts), lane_len)
+
+    def _remove(self, s: int, veh) -> None:
+        """Log `veh` leaving segment `s` and drop it from its lane list."""
+        world = self.segments[s]
+        world.lanes[veh.lane].remove(veh)
+        world.despawned += 1
+        world._log(EVENT_DESPAWN, veh.id)
+        slot = self._base[s] + veh.id
+        self._objs[slot] = None  # as the scalar world, keep no departed one
+        if self._b[DRAWS, slot]:
+            self._drawing[s] -= 1
+
+    # ---- spawning ------------------------------------------------------
+
+    def _process_spawns(self) -> None:
+        """Each segment's scalar spawns; the new vehicles become rows at
+        the rear of their lanes."""
+        time, step_index = self.time, self.step_index
+        lane_ids = self.lane_ids
+        f, b = self._f, self._b
+        bound, dt = self.run.accel_bound, self.run.physics_timestep
+        new = []  # (group, slot), in row order
+        for s, seg in enumerate(self.segments):
+            seg.time, seg.step_index = time, step_index
+            if not seg._pending and (
+                    seg._next_spawn == len(seg._schedule)
+                    or seg._schedule[seg._next_spawn].time > time):
+                continue
+            base = self._base[s]
+            for lid in lane_ids:  # a spawn reads its lane's rear vehicle
+                lane = seg.lanes[lid]
+                if lane:
+                    rear = lane[-1]
+                    rear.x = f.item(X, base + rear.id)
+                    rear.v = f.item(V, base + rear.id)
+            first_new = seg._next_id
+            seg._process_spawns()
+            if seg._next_id == first_new:
+                continue
+            # a lane takes at most one vehicle per step: the next one would
+            # sit on top of it
+            for li, lid in enumerate(lane_ids):
+                lane = seg.lanes[lid]
+                if lane and lane[-1].id >= first_new:
+                    veh = lane[-1]
+                    slot = base + veh.id
+                    acc = veh.equipped and seg.acc_enabled
+                    draws = not acc and veh.sigma > 0.0
+                    f[X, slot] = veh.x
+                    f[V, slot] = veh.v
+                    f[A, slot] = veh.a
+                    f[LENGTH, slot] = veh.length
+                    f[TAU, slot] = veh.tau
+                    f[NOISE, slot] = veh.sigma * bound * dt
+                    b[ACC, slot] = acc
+                    b[DRAWS, slot] = draws
+                    b[LATCH, slot] = veh.danger_latch
+                    b[EXIT, slot] = veh.route == ROUTE_EXIT
+                    self._objs[slot] = veh
+                    self._drawing[s] += draws
+                    self._exiters = self._exiters or veh.route == ROUTE_EXIT
+                    new.append((s * self._n_lanes + li, slot))
+        if new:  # each at the end of its lane's rows
+            order, lane_len = self._order, self._lane_len.copy()
+            ends = np.cumsum(lane_len).tolist()
+            pieces, start = [], 0
+            for group, slot in new:
+                pieces += (order[start:ends[group]], (slot,))
+                start = ends[group]
+                lane_len[group] += 1
+            pieces.append(order[start:])
+            self._set_order(np.concatenate(pieces), lane_len)
+
+    # ---- lane changes --------------------------------------------------
+
+    def _apply_lane_changes(self) -> None:
+        x, v, _, _ = self._columns()
+        for veh, x, v in zip(self._objs[self._order].tolist(), x.tolist(),
+                             v.tolist()):
+            veh.x = x
+            veh.v = v
+        changed = []
+        for s, seg in enumerate(self.segments):
+            logged = len(seg.events)
+            seg._apply_lane_changes()  # logs one event per change
+            if len(seg.events) != logged:
+                changed.append(s)
+        if changed:
+            self._rebuild_order(changed)
+
+    # ---- longitudinal dynamics ----------------------------------------
+
+    def _longitudinal(self, dt: float) -> None:
+        """`World._longitudinal` for every row at once.
+
+        A row's leader is the row before it, unless the row is its lane's
+        first; the command reads the leader's pre-step speed and rear
+        bumper.
+        """
+        order = self._order
+        n = len(order)
+        if not n:
+            return
+        rows = self._structure()
+        first = rows.first
+        x, v, _, length = self._columns()
+        tau, noise = self._f[TAU:].take(order, axis=1)
+        seg = self._slot_seg[order]
+        gap_cmd, aim = self._gap_cmd[seg], self._aim[seg]
+        danger_ttc = self._danger_ttc[seg]
+        acc, draws, latch = self._b[:EXIT].take(order, axis=1)
+        bound = self.run.accel_bound
+        leader_v = _leaders(v)
+        gap = _leaders(x - length)
+        gap -= x  # to the leader's rear bumper
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # stochastic Krauss model (unactuated vehicles)
+            v_safe = _krauss(v, leader_v, gap, tau, bound)
+            v_safe[first] = FREE_FLOW_SPEED
+            v_new = v + bound * dt
+            np.minimum(FREE_FLOW_SPEED, v_new, out=v_new)
+            np.minimum(v_safe, v_new, out=v_new)
+            if any(self._drawing):  # each segment's draws in walk order
+                u = np.zeros(n)
+                np.place(u, draws, np.concatenate([
+                    stream.take(k)
+                    for stream, k in zip(self._streams, self._drawing)]))
+                u *= noise
+                v_new -= u
+
+            # gap control (actuated vehicles): a PD law, the danger
+            # reaction, and free-flow cruise without a leader
+            closing = v - leader_v
+            slack = gap - aim
+            need = closing * closing
+            need /= 2.0 * slack
+            np.putmask(need, slack <= 0.0, bound)
+            trigger = gap < closing * danger_ttc
+            trigger |= need >= bound
+            trigger |= latch
+            latch = closing > 0.0
+            latch &= trigger
+            latch[first] = False
+            a = gap - gap_cmd
+            a *= ACC_KP
+            a -= ACC_KD * closing  # + ACC_KD * (leader_v - v), exactly
+            np.maximum(-ACC_COMFORT_DECEL, a, out=a)
+            react = (latch & acc).nonzero()[0]
+            if len(react):
+                # keep enough margin to stop behind a leader braking hard
+                r_v, r_lv = v[react], leader_v[react]
+                stop_room = slack[react] + r_lv * r_lv / (2.0 * bound)
+                r_need = np.where(
+                    stop_room > 0.0,
+                    np.maximum(r_v * r_v / (2.0 * stop_room), need[react]),
+                    bound)
+                a[react] = np.minimum(-np.minimum(bound, r_need), a[react])
+            a[first] = CRUISE_GAIN * (FREE_FLOW_SPEED - v[first])
+            ahead = a * dt
+            ahead += v
+            cap = FREE_FLOW_SPEED - v
+            cap /= dt
+            np.putmask(a, ahead > FREE_FLOW_SPEED, cap)
+            np.minimum(bound, a, out=a)
+            np.maximum(-bound, a, out=a)
+            ahead = a * dt
+            ahead += v
+            cap = -v
+            cap /= dt
+            np.putmask(a, ahead < 0.0, cap)
+            ahead = a * dt
+            ahead += v
+            np.putmask(v_new, acc, ahead)
+
+            if rows.ramp is not None and len(rows.ramp):
+                # brake for the ramp's end only inside stopping distance
+                ramp = rows.ramp
+                r_v = v[ramp]
+                wall_gap = self.ramp_end - x[ramp] - 2.0
+                near = wall_gap < r_v * r_v / (2.0 * bound) + 15.0
+                if np.count_nonzero(near):
+                    ramp = ramp[near]
+                    v_wall = _krauss(r_v[near], 0.0, wall_gap[near], 0.5,
+                                     bound)
+                    v_new[ramp] = np.minimum(v_wall, v_new[ramp])
+            np.maximum(v - bound * dt, v_new, out=v_new)
+            np.maximum(0.0, v_new, out=v_new)
+        a = v_new - v
+        a /= dt
+        v_next = a * dt
+        v_next += v
+        x_next = v_next * dt
+        x_next += x
+        f = self._f
+        f[X][order] = x = x_next
+        f[V][order] = v_next
+        f[A][order] = a
+        self._b[LATCH][order] = latch  # unread where gap control is off
+        self._cols = (x, v_next, a, length)
+
+        behind = x[1:] > x[:-1]  # row j + 1 ahead of row j
+        behind[rows.lane_starts] = False
+        if np.count_nonzero(behind):  # re-sort those lanes, stably
+            order = order.copy()
+            starts = rows.group_start
+            lanes = np.searchsorted(starts, behind.nonzero()[0] + 1,
+                                    side="right") - 1
+            for g in np.unique(lanes).tolist():
+                lo, hi = starts[g], starts[g + 1]
+                perm = np.argsort(-x[lo:hi], kind="stable")
+                order[lo:hi] = order[lo:hi][perm]
+                s, li = divmod(g, self._n_lanes)
+                lane = self.segments[s].lanes[self.lane_ids[li]]
+                lane[:] = [lane[k] for k in perm.tolist()]
+            self._set_order(order, self._lane_len)
+
+    # ---- events and despawns ------------------------------------------
+
+    def _detect_events(self) -> None:
+        """Collisions and near-collision onsets, each segment's in walk
+        order, then its crashed vehicles' removal in the scalar order."""
+        order = self._order
+        segments = self.segments
+        hits = []
+        if len(order) > 1:
+            x, v, _, length = self._columns()
+            gap = x[:-1] - length[:-1]  # per pair, as in simcore
+            gap -= x[1:]
+            gap[self._structure().lane_starts] = np.inf
+            hit = gap < self.run.min_gap_for_near_collision
+            hit &= v[1:] > v[:-1]
+            hit |= gap < 0.0
+            hit = hit.nonzero()[0]
+            if len(hit):
+                followers = order[hit + 1]
+                hits = zip(self._slot_seg[followers].tolist(),
+                           self._objs[followers].tolist(),
+                           self._objs[order[hit]].tolist(),
+                           (gap[hit] < 0.0).tolist())
+        current = {}  # segment -> near-collision pairs
+        crashed = {}  # segment -> vehicles, as the scalar pass lists them
+        for s, follower, leader, collided in hits:
+            world = segments[s]
+            if collided:
+                world._log(EVENT_ACTUAL_COLLISION, follower.id, leader.id)
+                crashed.setdefault(s, []).extend((leader, follower))
+            else:
+                pair = (follower.id, leader.id)
+                current.setdefault(s, set()).add(pair)
+                if pair not in world._active_nc:
+                    world._log(EVENT_NEAR_COLLISION, follower.id, leader.id)
+        for s, world in enumerate(segments):
+            if world._active_nc or s in current:
+                world._active_nc = current.get(s, set())
+        for s, vehicles in crashed.items():
+            lanes = segments[s].lanes
+            for veh in vehicles:
+                if veh in lanes[veh.lane]:
+                    self._remove(s, veh)
+        if crashed:
+            self._rebuild_order(crashed)
+
+    def _despawn(self) -> None:
+        """Vehicles that leave, by segment, then by lane, then front-first.
+
+        Each leaving condition lies at or past its lane's nearest boundary,
+        and every lane is front-first here, so the rows that leave are all
+        in the front run that the scalar pass walks.
+        """
+        order = self._order
+        if not len(order):
+            return
+        x = self._columns()[0]
+        end = self.geometry.mainline_length
+        gone = x >= end
+        if self._exiters:
+            gone |= (self._b[EXIT][order] & (x >= self.junction)
+                     & np.repeat(self._group_lane0, self._lane_len))
+        rows = self._structure()
+        if rows.ramp is not None:
+            gone[rows.ramp[x[rows.ramp] >= self.ramp_end]] = True
+        leaving = gone.nonzero()[0]
+        if not len(leaving):
+            return
+        slots = order[leaving]
+        for i, s, slot in zip(leaving.tolist(),
+                              self._slot_seg[slots].tolist(), slots.tolist()):
+            veh = self._objs[slot]
+            self._remove(s, veh)
+            if x[i] >= end and veh.route == ROUTE_THROUGH:
+                world = self.segments[s]
+                world.all_completed.append(
+                    (world.time, world.time - veh.spawn_time))
+        groups = np.searchsorted(rows.group_start, leaving, side="right") - 1
+        self._set_order(order[~gone], self._lane_len - np.bincount(
+            groups, minlength=len(self._lane_len)))
+
+
+def _scan(world: LockstepWorld, episodes: list[Episode],
+          ttc_star: np.ndarray, steps: list) -> None:
+    """`Episode.scan` after every physics step of one control interval,
+    for every episode of the batch, in one pass over the interval's rows.
+
+    `steps` holds each step's `LockstepWorld.record`, and `ttc_star`
+    each episode's threshold.  Nothing reads a scan's output before the
+    interval is scored, so this gives what the scalar scans would: the
+    danger flags (a set), the walk-order speed and |accel| sums added to
+    the totals in step order, and the last step's closing-pair TTCs.
+    """
+    n_seg, n_lanes = len(episodes), world._n_lanes
+    past = [time >= world.run.warmup_duration for time, *_ in steps]
+    order = np.concatenate([step[1] for step in steps])
+    lane_len = np.concatenate([step[2] for step in steps])
+    counts = lane_len.reshape(len(steps), n_seg, n_lanes).sum(axis=2)
+    last = counts[-1].tolist()  # rows per segment at the last step
+    n = len(order)
+    step_ttcs = [[] for _ in episodes]
+    if n:
+        x, v, a, length = (np.concatenate(rows)
+                           for rows in zip(*[step[3] for step in steps]))
+        # rows by (step, segment, lane); pair j is row j and row j + 1
+        group = np.repeat(np.arange(len(lane_len)), lane_len)
+        dv = v[1:] - v[:-1]  # per pair: follower less leader
+        np.putmask(dv, group[1:] != group[:-1], 0.0)  # no leader
+        closing = dv > 0.0
+        ttc = x[:-1] - x[1:]  # as compute_ttc
+        ttc -= length[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ttc /= dv
+        lo = n - sum(last)
+        for s, rows in enumerate(last):
+            if rows:  # pairs lo - 1 .. lo + rows - 2 end in these rows
+                pairs = slice(max(lo - 1, 0), lo + rows - 1)
+                step_ttcs[s] = ttc[pairs][closing[pairs]].tolist()
+            lo += rows
+        seg = group % (n_seg * n_lanes) // n_lanes
+        flagged = (closing & (ttc < ttc_star[seg[1:]])).nonzero()[0]
+        if len(flagged):
+            seg = seg[flagged + 1]
+            ids = order[flagged + 1] - world._slot_base[seg]
+            for s, vid in zip(seg.tolist(), ids.tolist()):
+                episodes[s].flagged.add(vid)
+        if any(past):
+            # per (step, segment), 0.0 + v0 + v1 + ... in walk order, along
+            # one zero-padded line each
+            width = int(counts.max()) + 1
+            line = group // n_lanes
+            line_start = np.zeros(counts.size + 1, dtype=np.intp)
+            np.cumsum(counts, out=line_start[1:])
+            at = line * width + 1
+            at += np.arange(n)
+            at -= line_start[line]
+            lines = np.zeros((2, counts.size * width))
+            lines[0, at] = v
+            lines[1, at] = np.abs(a)
+            lines = lines.reshape(2, -1, width)
+            np.add.accumulate(lines, axis=2, out=lines)
+            speed_sums, accel_sums = lines[:, :, -1].reshape(
+                2, len(steps), n_seg).tolist()
+            counts = counts.tolist()
+            for k in range(len(steps)):
+                if past[k]:
+                    for s, ep in enumerate(episodes):
+                        if counts[k][s]:  # an empty scan adds zeros
+                            acc = ep.speed_acc
+                            acc[0] += speed_sums[k][s]
+                            acc[1] += accel_sums[k][s]
+                            acc[2] += counts[k][s]
+    for ep, ttcs in zip(episodes, step_ttcs):
+        ep.past_warmup = past[-1]
+        ep.step_ttcs = ttcs
+
+
+def run_lockstep(episodes: list[Episode]) -> None:
+    """Run new `Episode`s of one geometry and run configuration to their
+    last tick together; each then gives its result through `finish()`."""
+    world = LockstepWorld([ep.world for ep in episodes])
+    spc = episodes[0].scenario.run.steps_per_control
+    for ep in episodes:
+        ep.decide()
+    while not episodes[0].done:
+        world.read_commands()
+        ttc_star = np.array([ep.ttc_star for ep in episodes])
+        steps = []
+        for _ in range(spc):
+            world.step()
+            steps.append(world.record())
+        _scan(world, episodes, ttc_star, steps)
+        world.sync_vehicles()
+        for ep in episodes:
+            ep.score()
+            ep.decide()

@@ -105,3 +105,16 @@ def test_bad_sweep_values_is_usage_error(tmp_path, capsys, argv):
     code = main(argv + ["--config", "desk", "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "category=usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["latency", "--episodes", "3"],
+    ["spacetime", "--verbose"],
+], ids=["latency-episodes", "spacetime-verbose"])
+def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys,
+                                                      argv):
+    # only train, motivation, sweep and ablate-ttc run episodes by count
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", "desk", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -235,14 +235,19 @@ def test_base_penetration_rows_equal_independent_episodes(monkeypatch, name):
 
 def test_penetration_sweep_runs_base_once_per_seed(monkeypatch):
     monkeypatch.setenv("ACCSIM_WORKERS", "1")
-    ran = []
-    run_task = harness._run_task
+    ran = []  # the key of every task handed to either runner
+    run_task, run_batch = harness._run_task, harness._run_batch
 
-    def counted(task):
+    def counted_task(task):
         ran.append(task[0])
         return run_task(task)
 
-    monkeypatch.setattr(harness, "_run_task", counted)
+    def counted_batch(tasks):
+        ran.extend(task[0] for task in tasks)
+        return run_batch(tasks)
+
+    monkeypatch.setattr(harness, "_run_task", counted_task)
+    monkeypatch.setattr(harness, "_run_batch", counted_batch)
     sweep = SweepSpec(parameter="penetration", values=(0.4, 0.8), episodes=2,
                       base_seed=50,
                       systems=(PolicySpec("base"), PolicySpec("scripted"),
@@ -419,6 +424,28 @@ def test_train_keeps_saved_rows_after_a_crash_and_resumes(monkeypatch,
     episodes = [int(row[0]) for row in rows]
     assert episodes == [0, 1, 2, 3, 4]
     assert [int(row[1]) for row in rows] == [4 * 10_000 + e for e in episodes]
+
+
+def test_resume_after_a_skipped_episode_draws_new_seeds(monkeypatch,
+                                                        tmp_path):
+    # episode 1 fails and leaves no row: rows 0, 2 and 3 remain, and a
+    # resume numbers on from the last row, not from the row count
+    sc = load_builtin("desk")
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run_episode", _raising_at(
+            4 * 10_000 + 1, MetricsError("episode degenerate")))
+        train(sc, system="fixed-ttc", episodes=4, seed=4, out_dir=tmp_path,
+              checkpoint_every=4)
+    rewards = tmp_path / "rewards.csv"
+    assert [row[0] for row in _reward_rows(rewards)[1:]] == ["0", "2", "3"]
+    train(sc, system="fixed-ttc", episodes=2, seed=4, out_dir=tmp_path,
+          resume=True, checkpoint_every=2)
+    rows = _reward_rows(rewards)[1:]
+    episodes = [int(row[0]) for row in rows]
+    seeds = [int(row[1]) for row in rows]
+    assert episodes == [0, 2, 3, 4, 5]
+    assert seeds == [4 * 10_000 + e for e in episodes]
+    assert len(set(seeds)) == len(seeds)
 
 
 def test_train_many_matches_serial_train_in_seed_order(monkeypatch):

@@ -1,0 +1,160 @@
+"""Lockstep batches equal scalar episodes bit for bit.
+
+Every episode of a `run_lockstep` batch is compared with the scalar
+`run_episode` of the same task: its CSV row, the reprs of its rewards and
+final threshold, and its full event log.  Each batch mixes every control
+path (no actuation, scripted gap, both untrained agents) at penetrations
+0, 0.4 and 1 on two seeds; `onramp` runs also crash, so the removal of
+crashed vehicles is compared too.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from accsim import harness, simcore
+from accsim.agents import Episode, run_episode
+from accsim.harness import PolicySpec, SweepSpec, apply_sweep_value, run_sweep
+from accsim.lockstep import LockstepWorld, run_lockstep
+from accsim.metrics import MetricsError
+from accsim.scenario import load_builtin
+from accsim.simcore import EVENT_ACTUAL_COLLISION
+
+SYSTEMS = (PolicySpec("base"), PolicySpec("scripted", ttc_star=4.0),
+           PolicySpec("saint"), PolicySpec("fixed-ttc", ttc_star=4.0))
+PENETRATIONS = (0.0, 0.4, 1.0)
+SEEDS = (5, 6)
+# shortened where a full episode would take long; desk runs whole
+DURATIONS = {"desk": 120.0, "onramp": 150.0, "offramp": 150.0,
+             "straight": 150.0}
+
+
+def short(name: str, duration: float):
+    sc = load_builtin(name)
+    return sc.replace(run=replace(sc.run, episode_duration=duration))
+
+
+def outcome(finish):
+    """What an episode's `finish` gives, in comparable form."""
+    try:
+        result = finish()
+    except MetricsError as exc:
+        return str(exc)
+    return (result.metrics.csv_row(),
+            repr((result.ttc_reward, result.acc_reward,
+                  result.final_ttc_star)))
+
+
+def scalar_run(scenario, spec, seed):
+    """(outcome, event log) of the scalar episode."""
+    worlds = []
+
+    def keep_world(world):
+        if not worlds:
+            worlds.append(world)
+
+    def finish():
+        return run_episode(scenario, spec.build(scenario), mode="eval",
+                           seed=seed, trajectory_sink=keep_world)
+
+    return outcome(finish), worlds[0].events
+
+
+def assert_batch_matches(tasks):
+    """Run `tasks` as one batch; each episode must equal its scalar run.
+    Returns the batch's episodes."""
+    episodes = [Episode(sc, spec.build(sc), mode="eval", seed=seed)
+                for sc, spec, seed in tasks]
+    run_lockstep(episodes)
+    for (sc, spec, seed), episode in zip(tasks, episodes):
+        label = (spec.kind, sc.demand.penetration_rate, seed)
+        want, events = scalar_run(sc, spec, seed)
+        assert outcome(episode.finish) == want, label
+        assert episode.world.events == events, label
+    return episodes
+
+
+@pytest.mark.parametrize("name", list(DURATIONS))
+def test_batch_equals_scalar_episodes(name):
+    sc = short(name, DURATIONS[name])
+    tasks = [(apply_sweep_value(sc, "penetration", p), spec, seed)
+             for p in PENETRATIONS for spec in SYSTEMS for seed in SEEDS]
+    episodes = assert_batch_matches(tasks)
+    if name == "onramp":
+        assert any(e.kind == EVENT_ACTUAL_COLLISION
+                   for ep in episodes for e in ep.world.events)
+
+
+def test_full_onramp_round_equals_scalar_episodes():
+    # the benchmark's round: base once, scripted and saint at 0.4 and 0.8
+    sc = load_builtin("onramp")
+    tasks = [(apply_sweep_value(sc, "penetration", p), spec, 1000)
+             for spec, ps in ((SYSTEMS[0], (0.4,)), (SYSTEMS[1], (0.4, 0.8)),
+                              (SYSTEMS[2], (0.4, 0.8)))
+             for p in ps]
+    assert_batch_matches(tasks)
+
+
+@pytest.mark.parametrize("name,duration", [("desk", 120.0),
+                                           ("onramp", 120.0)])
+def test_batched_sweep_rows_equal_scalar_episodes(monkeypatch, name,
+                                                  duration):
+    monkeypatch.setenv("ACCSIM_WORKERS", "1")
+    batches = []
+    run_batch = harness._run_batch
+
+    def counted(tasks):
+        batches.append(len(tasks))
+        return run_batch(tasks)
+
+    monkeypatch.setattr(harness, "_run_batch", counted)
+    sc = short(name, duration)
+    sweep = SweepSpec(parameter="penetration", values=(0.4, 0.8), episodes=2,
+                      base_seed=30,
+                      systems=(PolicySpec("base"), PolicySpec("scripted"),
+                               PolicySpec("saint")))
+    rows = run_sweep(sc, sweep)
+    assert batches == [10] and len(rows) == 12
+    specs = dict(zip(("base", "scripted-ttc4", "saint"), SYSTEMS))
+    for row in rows:
+        seed = row.result.metrics.seed
+        # base actuates no vehicle, so it ran once, at the first value
+        value = 0.4 if row.system == "base" else row.value
+        want, _ = scalar_run(apply_sweep_value(sc, "penetration", value),
+                             specs[row.system], seed)
+        got = replace(row.result, metrics=replace(row.result.metrics,
+                                                  penetration=value))
+        assert outcome(lambda: got) == want, (row.system, row.value, seed)
+
+
+def test_batch_steps_count_every_vehicle(monkeypatch):
+    # every physics step goes through World.step, which sees all vehicles
+    counted = []
+    step = simcore.World.step
+
+    def counted_step(world):
+        counted.append((type(world), world.vehicle_count()))
+        return step(world)
+
+    sc = short("desk", 60.0)
+    tasks = [(apply_sweep_value(sc, "penetration", p), spec, 5)
+             for p in (0.4, 1.0) for spec in SYSTEMS[:2]]
+    monkeypatch.setattr(simcore.World, "step", counted_step)
+    for point, spec, seed in tasks:
+        run_episode(point, spec.build(point), mode="eval", seed=seed)
+    scalar_steps = sum(n for _, n in counted)
+    assert {kind for kind, _ in counted} == {simcore.World}
+    counted.clear()
+    run_lockstep([Episode(point, spec.build(point), mode="eval", seed=seed)
+                  for point, spec, seed in tasks])
+    assert {kind for kind, _ in counted} == {LockstepWorld}
+    assert len(counted) == 600 and sum(n for _, n in counted) == scalar_steps
+
+
+def test_batch_rejects_mixed_run_configurations():
+    sc = load_builtin("desk")
+    other = short("desk", 60.0)
+    episodes = [Episode(s, PolicySpec("base").build(s), seed=1)
+                for s in (sc, other)]
+    with pytest.raises(ValueError, match="one run configuration"):
+        LockstepWorld([ep.world for ep in episodes])
