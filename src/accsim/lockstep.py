@@ -5,11 +5,18 @@ holds what the episode owns: its spawn schedule and pending queue, event
 log, completions, counters and `Vehicle` objects.  A `LockstepWorld` steps
 all segments together through `World.step`: car following, gap control,
 event detection and despawns run as numpy passes over flat per-vehicle
-arrays, while spawns and lane changes run each segment's own scalar code.
-`run_lockstep` scans each control interval's steps for the episodes'
-danger flags and metric sums in one pass, then calls each `Episode`'s
-`score` and `decide`, so every episode of a batch equals its scalar
-`run_episode` bit for bit.
+arrays, and spawns run each segment's own scalar code.  Lane changes run
+one numpy pass over every row that keeps the few vehicles whose
+`World.lane_change_decision` could return a lane: the decision's own
+tests, with a margin, so it is a prefilter and not a second lane-change
+model.  Only those vehicles meet the scalar decision, in walk order; a
+segment's first change makes the filter stale there, and the rest of that
+segment's walk runs the scalar code.  The arrays hold the vehicles' state,
+and a `Vehicle` object is brought up to date only where scalar code reads
+it (see `LockstepWorld`).  `run_lockstep` scans each control interval's
+steps for the episodes' danger flags and metric sums in one pass, then
+calls each `Episode`'s `score` and `decide`, so every episode of a batch
+equals its scalar `run_episode` bit for bit.
 
 The arrays keep the scalar arithmetic.  Their rows are each segment's walk
 order: by segment, then by lane in ``lane_ids`` order, then front-first,
@@ -44,7 +51,9 @@ from .simcore import (
     CRUISE_GAIN,
     EVENT_ACTUAL_COLLISION,
     EVENT_DESPAWN,
+    EVENT_LANE_CHANGE,
     EVENT_NEAR_COLLISION,
+    EXIT_PREP_DISTANCE,
     FREE_FLOW_SPEED,
     World,
 )
@@ -69,6 +78,67 @@ def _leaders(col: np.ndarray) -> np.ndarray:
     out[1:] = col[:-1]
     out[0] = 0.0  # row 0 starts a lane
     return out
+
+
+# A lane-change test this close to its threshold makes a candidate, so
+# the filter may keep a vehicle that stays, never drop one that moves.
+MARGIN = 1e-6
+
+
+def _need(v_behind, v_ahead, relax, base, bound):
+    """`World._gap_acceptable`'s required gap between a vehicle at
+    `v_behind` and the one ahead of it at `v_ahead`, less `MARGIN`;
+    `relax` is ``relax * 0.3`` (see `_relax`)."""
+    need = relax * v_behind
+    need += base
+    closing = v_behind - v_ahead
+    np.maximum(closing, 0.0, out=closing)  # adds 0.0 unless closing
+    extra = closing * closing
+    extra /= 2.0 * bound
+    extra += closing
+    need += extra
+    need -= MARGIN
+    return need
+
+
+def _relax(urgency):
+    """``relax * 0.3`` of `World._gap_acceptable` at `urgency`."""
+    relax = np.minimum(1.0, urgency)
+    relax *= -0.7
+    relax += 1.0
+    relax *= 0.3
+    return relax
+
+
+def _change_lane(world: World, veh, target: int) -> None:
+    """Move `veh` to lane `target` as `World._apply_lane_changes` does."""
+    world.lanes[veh.lane].remove(veh)
+    dest = world.lanes[target]
+    _, _, pos = world._neighbors(dest, veh.x)
+    dest.insert(pos, veh)
+    veh.lane = target
+    world._log(EVENT_LANE_CHANGE, veh.id)
+
+
+def _walk_on(world: World, li: int, k: int, target: int, leader) -> None:
+    """Finish `world`'s lane-change pass as `World._apply_lane_changes`
+    would once its walk reached the `k`-th vehicle of lane
+    ``lane_ids[li]``, with `leader` ahead and every vehicle before it
+    staying, and found that it moves to `target`."""
+    decide = world.lane_change_decision
+    lane_ids = world.lane_ids
+    lane = world.lanes[lane_ids[li]]
+    rest = lane[k + 1:]  # the rest of the lane's snapshot
+    _change_lane(world, lane[k], target)
+    for i in range(li, len(lane_ids)):
+        if i > li:
+            rest, leader = list(world.lanes[lane_ids[i]]), None
+        for veh in rest:
+            target = decide(veh, leader)
+            if target is None:
+                leader = veh
+            else:
+                _change_lane(world, veh, target)
 
 
 class _Draws:
@@ -132,10 +202,12 @@ class LockstepWorld(World):
 
     It holds no vehicle in its own `lanes`: `vehicle_count` counts every
     segment's, and the segments' lane lists hold the `Vehicle` objects in
-    the order of the rows.  The arrays hold the vehicles' state.  The
-    objects' ``x`` and ``v`` are written before each lane-change pass and
-    before a spawn reads a lane's rear vehicle; `sync_vehicles` writes
-    ``x``, ``v`` and ``a`` for whatever reads the objects next.  Each
+    the order of the rows.  The arrays hold the vehicles' state; an
+    object's ``x`` and ``v`` are current only where scalar code reads
+    them: a lane's rear vehicle before a spawn reads it, every vehicle of a
+    segment before that segment's first lane-change decision of a pass,
+    and, through `sync_vehicles`, which writes ``a`` too, every vehicle
+    before the episodes score and decide.  Each
     segment's commanded gap and danger threshold are its
     ``default_gap_cmd`` and ``default_danger_ttc``, taken by
     `read_commands`: every actuated vehicle carries those values.  The
@@ -178,6 +250,12 @@ class LockstepWorld(World):
         self._group_ramp = (np.tile(lane_ids == RAMP_LANE, n_seg)
                             if self.ramp_end is not None else None)
         self._group_lane0 = np.tile(lane_ids == 0, n_seg)
+        self._group_ids = np.arange(n_seg * n_lanes)
+        # wider than the span of positions when lanes change: vehicles
+        # enter at 0 or at the ramp's start, past -ramp_length, and every
+        # one at the mainline's end has left
+        self._key_width = (first.geometry.mainline_length
+                           + first.geometry.ramp_length + 1.0)
 
     # ---- bookkeeping ---------------------------------------------------
 
@@ -313,17 +391,147 @@ class LockstepWorld(World):
 
     # ---- lane changes --------------------------------------------------
 
+    def _lane_change_candidates(self) -> np.ndarray:
+        """The rows whose `World.lane_change_decision` could return a lane
+        were their segment's pass to reach them before any change there.
+
+        These are the decision's own tests on the rows: an impeded vehicle
+        with a neighbouring lane that gains over 2 m/s and takes it, a ramp
+        vehicle past the junction whose gap into lane 0 is acceptable, and
+        an exiter within `EXIT_PREP_DISTANCE` whose gap one lane to the
+        right is.  One `np.searchsorted` finds every target lane's leader
+        and follower.  The rows are a superset: a comparison within
+        `MARGIN` of its threshold, or a position within `MARGIN` of one in
+        the target lane, makes a candidate.
+        """
+        x, v, _, length = self._columns()
+        order = self._order
+        rows = self._structure()
+        n_lanes, n_main = self._n_lanes, self.geometry.lane_count
+        bound = self.run.accel_bound
+        group = self._group_ids.repeat(self._lane_len)
+        tau = self._f[TAU].take(order)
+        # discretionary: pair j's follower, row j + 1, is impeded; the
+        # decision's cap at FREE_FLOW_SPEED decides no test here, since an
+        # impeded vehicle's safe speed lies below its own
+        gap = x[:-1] - length[:-1]
+        gap -= x[1:]
+        v_here = _krauss(v[1:], v[:-1], gap, tau[1:], bound)
+        impeded = v_here <= v[1:] - (1.0 - MARGIN)
+        impeded[rows.lane_starts] = False
+        disc = impeded.nonzero()[0] + 1
+        d_group = group[disc]
+        d_lane = d_group % n_lanes  # index into lane_ids
+        left, right = d_lane > 0, d_lane < n_main - 1
+        if n_main < n_lanes:  # the ramp's vehicles only merge
+            left &= d_lane < n_main
+        if self._exiters:  # exiters only move towards the exit
+            through = ~self._b[EXIT].take(order[disc])
+            left &= through
+            right &= through
+        query = [disc[left], disc[right]]
+        target = [d_group[left] - 1, d_group[right] + 1]
+        n_disc = len(query[0]) + len(query[1])
+        urgency = [np.zeros(n_disc)]
+        if rows.ramp is not None:  # merges into lane 0
+            ramp = rows.ramp[x[rows.ramp] >= self.junction]
+            merge = x[ramp] - self.junction
+            merge /= max(self.ramp_end - self.junction, 1.0)
+            merge += 0.2
+            query.append(ramp)
+            target.append(group[ramp] - (n_lanes - 1))
+            urgency.append(merge)
+        if self._exiters:  # exiters move one lane towards the exit
+            near = self._b[EXIT].take(order)
+            near &= x > self.junction - (EXIT_PREP_DISTANCE + MARGIN)
+            near &= group % n_lanes > 0
+            near = near.nonzero()[0]
+            leave = self.junction - x[near]  # 1 - dist / EXIT_PREP_DISTANCE
+            leave /= -EXIT_PREP_DISTANCE
+            leave += 1.0
+            np.maximum(0.0, leave, out=leave)
+            leave += 0.2
+            query.append(near)
+            target.append(group[near] - 1)
+            urgency.append(leave)
+        query = np.concatenate(query)
+        if not len(query):
+            return query
+        target = np.concatenate(target)
+        relax = _relax(np.concatenate(urgency))
+        # rows ascend in group * width - x; a target lane's leader is the
+        # last row before the query's key there
+        width = self._key_width
+        key = group * width
+        key -= x
+        qx, qv = x[query], v[query]
+        qkey = target * width
+        qkey -= qx
+        at = key.searchsorted(qkey - MARGIN)
+        tie = at != key.searchsorted(qkey + MARGIN, side="right")
+        no_leader = at <= rows.group_start[target]
+        no_follower = at >= rows.group_start[target + 1]
+        leader = at - 1
+        follower = np.minimum(at, len(order) - 1)
+        # `World._gap_acceptable`: the gap to the leader, then the one to
+        # the follower, each need lowered by MARGIN
+        lead_gap = x[leader] - length[leader]
+        lead_gap -= qx
+        leader_v = v[leader]
+        lag_gap = qx - length[query]
+        lag_gap -= x[follower]
+        need = _need(np.concatenate((qv, v[follower])),
+                     np.concatenate((leader_v, qv)),
+                     np.concatenate((relax, relax)),
+                     self.run.min_gap_for_near_collision, bound)
+        ok = np.concatenate((lead_gap, lag_gap)) >= need
+        ok |= np.concatenate((no_leader, no_follower))
+        accept = ok[:len(query)] & ok[len(query):]
+        # and a discretionary change the gain
+        v_there = _krauss(qv, leader_v, lead_gap, tau[query], bound)
+        np.minimum(FREE_FLOW_SPEED, v_there, out=v_there)
+        v_there[no_leader] = FREE_FLOW_SPEED
+        v_there -= v_here[query - 1]
+        accept[:n_disc] &= v_there[:n_disc] > 2.0 - MARGIN
+        accept |= tie
+        candidate = np.zeros(len(order), dtype=bool)
+        candidate[query[accept]] = True
+        return candidate.nonzero()[0]
+
     def _apply_lane_changes(self) -> None:
+        """`World._apply_lane_changes` of every segment.
+
+        The scalar decision runs for the filter's candidates in walk
+        order; every other vehicle would stay.  A segment's first change
+        makes the filter stale there, so the rest of that segment's walk
+        is the scalar one.  A segment's objects get their ``x`` and ``v``
+        before its first decision.
+        """
+        candidates = self._lane_change_candidates()
+        if not len(candidates):
+            return
+        order, objs, n_lanes = self._order, self._objs, self._n_lanes
         x, v, _, _ = self._columns()
-        for veh, x, v in zip(self._objs[self._order].tolist(), x.tolist(),
-                             v.tolist()):
-            veh.x = x
-            veh.v = v
-        changed = []
-        for s, seg in enumerate(self.segments):
-            logged = len(seg.events)
-            seg._apply_lane_changes()  # logs one event per change
-            if len(seg.events) != logged:
+        start = self._structure().group_start
+        groups = start.searchsorted(candidates, side="right") - 1
+        start = start.tolist()
+        changed, synced = [], -1
+        for r, g in zip(candidates.tolist(), groups.tolist()):
+            s, li = divmod(g, n_lanes)
+            if changed and changed[-1] == s:
+                continue  # its walk is done
+            world = self.segments[s]
+            if s != synced:
+                lo, hi = start[s * n_lanes], start[(s + 1) * n_lanes]
+                for veh, vx, vv in zip(objs[order[lo:hi]].tolist(),
+                                       x[lo:hi].tolist(), v[lo:hi].tolist()):
+                    veh.x = vx
+                    veh.v = vv
+                synced = s
+            leader = objs[order[r - 1]] if r > start[g] else None
+            target = world.lane_change_decision(objs[order[r]], leader)
+            if target is not None:
+                _walk_on(world, li, r - start[g], target, leader)
                 changed.append(s)
         if changed:
             self._rebuild_order(changed)

@@ -4,6 +4,8 @@ import csv
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -60,6 +62,38 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("ACCSIM_WORKERS", "two")
     with pytest.raises(HarnessError):
         worker_count()
+
+
+def test_importing_the_harness_loads_no_pool_or_lockstep():
+    # both load only when a sweep needs them, which keeps the import, and
+    # with it every run's set-up, as cheap as it was
+    code = ("import sys, accsim.harness; print(sorted({'multiprocessing', "
+            "'accsim.lockstep'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("workers,sizes", [(1, [20] * 5),
+                                           (2, [17] * 4 + [16] * 2)])
+def test_chunks_cap_a_batch(workers, sizes):
+    sc = load_builtin("onramp")
+    tasks = [(k, sc) for k in range(100)]
+    chunks = harness._chunks(tasks, workers)
+    assert [len(c) for c in chunks] == sizes
+    assert [t for c in chunks for t in c] == tasks  # contiguous, in order
+
+
+def test_chunks_keep_a_small_group_one_batch_per_worker():
+    sc = load_builtin("onramp")
+    other = sc.replace(run=replace(sc.run, episode_duration=120.0))
+    tasks = [(k, sc) for k in range(5)] + [(5, other)]
+    assert [len(c) for c in harness._chunks(tasks, 1)] == [5, 1]
+    assert [len(c) for c in harness._chunks(tasks, 2)] == [3, 2, 1]
+    assert max(map(len, harness._chunks(tasks * 50, 1))) <= \
+        harness.MAX_BATCH
 
 
 # ---- sweep parameter application ---------------------------------------

@@ -5,9 +5,12 @@ Every episode of a `run_lockstep` batch is compared with the scalar
 final threshold, and its full event log.  Each batch mixes every control
 path (no actuation, scripted gap, both untrained agents) at penetrations
 0, 0.4 and 1 on two seeds; `onramp` runs also crash, so the removal of
-crashed vehicles is compared too.
+crashed vehicles is compared too.  Stress batches push each lane-change
+branch, and every pass checks that the batch's lane-change filter keeps
+each vehicle the scalar decision would move.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -17,7 +20,7 @@ from accsim.agents import Episode, run_episode
 from accsim.harness import PolicySpec, SweepSpec, apply_sweep_value, run_sweep
 from accsim.lockstep import LockstepWorld, run_lockstep
 from accsim.metrics import MetricsError
-from accsim.scenario import load_builtin
+from accsim.scenario import RAMP_LANE, ROUTE_EXIT, load_builtin
 from accsim.simcore import EVENT_ACTUAL_COLLISION
 
 SYSTEMS = (PolicySpec("base"), PolicySpec("scripted", ttc_star=4.0),
@@ -74,8 +77,46 @@ def assert_batch_matches(tasks):
     return episodes
 
 
+def lane_change_branch(veh) -> str:
+    """The branch of `World.lane_change_decision` that decides `veh`."""
+    if veh.lane == RAMP_LANE:
+        return "merge"
+    if veh.route == ROUTE_EXIT and veh.lane > 0:
+        return "exit"
+    return "discretionary"
+
+
+@pytest.fixture
+def movers(monkeypatch):
+    """Check every lane-change pass of a batch: before the pass runs,
+    each vehicle whose scalar decision would move it, with no change made
+    yet, must be a candidate of the filter.  Counts those movers by
+    branch."""
+    counts = Counter()
+    apply = LockstepWorld._apply_lane_changes
+
+    def checked(world):
+        candidates = set(world._lane_change_candidates().tolist())
+        world.sync_vehicles()
+        row = 0
+        for seg in world.segments:
+            for lid in seg.lane_ids:
+                leader = None
+                for veh in seg.lanes[lid]:
+                    if seg.lane_change_decision(veh, leader) is not None:
+                        assert row in candidates, (seg.time, veh)
+                        counts[lane_change_branch(veh)] += 1
+                    leader = veh
+                    row += 1
+        assert row == world.vehicle_count()
+        apply(world)
+
+    monkeypatch.setattr(LockstepWorld, "_apply_lane_changes", checked)
+    return counts
+
+
 @pytest.mark.parametrize("name", list(DURATIONS))
-def test_batch_equals_scalar_episodes(name):
+def test_batch_equals_scalar_episodes(movers, name):
     sc = short(name, DURATIONS[name])
     tasks = [(apply_sweep_value(sc, "penetration", p), spec, seed)
              for p in PENETRATIONS for spec in SYSTEMS for seed in SEEDS]
@@ -83,6 +124,64 @@ def test_batch_equals_scalar_episodes(name):
     if name == "onramp":
         assert any(e.kind == EVENT_ACTUAL_COLLISION
                    for ep in episodes for e in ep.world.events)
+
+
+def double_ramp_flow(sc):
+    return sc.replace(demand=replace(sc.demand,
+                                     ramp_flow=2 * sc.demand.ramp_flow))
+
+
+# (scenario, duration, the lane-change branch it must exercise)
+STRESS = [("onramp", 120.0, "merge"), ("offramp", 120.0, "exit"),
+          ("desk", 120.0, "discretionary")]
+
+
+@pytest.mark.parametrize("name,duration,branch", STRESS)
+def test_stress_batch_equals_scalar_and_filter_keeps_movers(
+        movers, name, duration, branch):
+    sc = short(name, duration)
+    if name == "onramp":
+        sc = double_ramp_flow(sc)
+    tasks = [(apply_sweep_value(sc, "penetration", p), spec, seed)
+             for p, spec in ((0.4, SYSTEMS[0]), (1.0, SYSTEMS[1]))
+             for seed in SEEDS]
+    assert_batch_matches(tasks)
+    assert movers[branch] > 0, dict(movers)
+
+
+def conserved(world) -> int:
+    """Assert that every vehicle `world` scheduled is live, gone, queued
+    at its entrance or not yet due; return the queued count."""
+    assert world.spawned - world.despawned == world.vehicle_count()
+    not_due = len(world._schedule) - world._next_spawn
+    assert len(world._schedule) == (world.spawned + len(world._pending)
+                                    + not_due)
+    return len(world._pending)
+
+
+@pytest.mark.parametrize("penetration", [0.0, 1.0])
+def test_vehicle_conservation_at_double_demand(penetration):
+    # in a scalar world and in every segment of a batch, at every step
+    sc = load_builtin("onramp")
+    sc = sc.replace(demand=replace(
+        sc.demand, penetration_rate=penetration,
+        mainline_flow=2 * sc.demand.mainline_flow,
+        ramp_flow=2 * sc.demand.ramp_flow))
+    spec = SYSTEMS[1]  # scripted: every equipped vehicle is actuated
+
+    def world(seed):
+        return Episode(sc, spec.build(sc), mode="eval", seed=seed).world
+
+    scalar, batch = world(SEEDS[0]), LockstepWorld([world(s) for s in SEEDS])
+    queued = 0
+    for _ in range(1200):
+        scalar.step()
+        batch.step()
+        queued = max(queued, conserved(scalar),
+                     *(conserved(seg) for seg in batch.segments))
+        assert batch.vehicle_count() == sum(seg.vehicle_count()
+                                            for seg in batch.segments)
+    assert queued > 0  # the entrances back up
 
 
 def test_full_onramp_round_equals_scalar_episodes():
