@@ -51,7 +51,6 @@ from .simcore import (
     CRUISE_GAIN,
     EVENT_ACTUAL_COLLISION,
     EVENT_DESPAWN,
-    EVENT_LANE_CHANGE,
     EVENT_NEAR_COLLISION,
     EXIT_PREP_DISTANCE,
     FREE_FLOW_SPEED,
@@ -108,37 +107,6 @@ def _relax(urgency):
     relax += 1.0
     relax *= 0.3
     return relax
-
-
-def _change_lane(world: World, veh, target: int) -> None:
-    """Move `veh` to lane `target` as `World._apply_lane_changes` does."""
-    world.lanes[veh.lane].remove(veh)
-    dest = world.lanes[target]
-    _, _, pos = world._neighbors(dest, veh.x)
-    dest.insert(pos, veh)
-    veh.lane = target
-    world._log(EVENT_LANE_CHANGE, veh.id)
-
-
-def _walk_on(world: World, li: int, k: int, target: int, leader) -> None:
-    """Finish `world`'s lane-change pass as `World._apply_lane_changes`
-    would once its walk reached the `k`-th vehicle of lane
-    ``lane_ids[li]``, with `leader` ahead and every vehicle before it
-    staying, and found that it moves to `target`."""
-    decide = world.lane_change_decision
-    lane_ids = world.lane_ids
-    lane = world.lanes[lane_ids[li]]
-    rest = lane[k + 1:]  # the rest of the lane's snapshot
-    _change_lane(world, lane[k], target)
-    for i in range(li, len(lane_ids)):
-        if i > li:
-            rest, leader = list(world.lanes[lane_ids[i]]), None
-        for veh in rest:
-            target = decide(veh, leader)
-            if target is None:
-                leader = veh
-            else:
-                _change_lane(world, veh, target)
 
 
 class _Draws:
@@ -491,8 +459,9 @@ class LockstepWorld(World):
         v_there = _krauss(qv, leader_v, lead_gap, tau[query], bound)
         np.minimum(FREE_FLOW_SPEED, v_there, out=v_there)
         v_there[no_leader] = FREE_FLOW_SPEED
-        v_there -= v_here[query - 1]
-        accept[:n_disc] &= v_there[:n_disc] > 2.0 - MARGIN
+        gain = v_there[:n_disc]
+        gain -= v_here[query[:n_disc] - 1]
+        accept[:n_disc] &= gain > 2.0 - MARGIN
         accept |= tie
         candidate = np.zeros(len(order), dtype=bool)
         candidate[query[accept]] = True
@@ -503,9 +472,9 @@ class LockstepWorld(World):
 
         The scalar decision runs for the filter's candidates in walk
         order; every other vehicle would stay.  A segment's first change
-        makes the filter stale there, so the rest of that segment's walk
-        is the scalar one.  A segment's objects get their ``x`` and ``v``
-        before its first decision.
+        makes the filter stale there, so its own `World._apply_lane_changes`
+        resumes the walk at that vehicle.  A segment's objects get their
+        ``x`` and ``v`` before its first decision.
         """
         candidates = self._lane_change_candidates()
         if not len(candidates):
@@ -529,9 +498,8 @@ class LockstepWorld(World):
                     veh.v = vv
                 synced = s
             leader = objs[order[r - 1]] if r > start[g] else None
-            target = world.lane_change_decision(objs[order[r]], leader)
-            if target is not None:
-                _walk_on(world, li, r - start[g], target, leader)
+            if world.lane_change_decision(objs[order[r]], leader) is not None:
+                world._apply_lane_changes(li, r - start[g], leader)
                 changed.append(s)
         if changed:
             self._rebuild_order(changed)

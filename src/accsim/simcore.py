@@ -412,15 +412,21 @@ class World:
                 best, best_gain = target, gain
         return best
 
-    def _apply_lane_changes(self) -> None:
+    def _apply_lane_changes(self, first: int = 0, k: int = 0,
+                            leader: Optional[Vehicle] = None) -> None:
+        """Walk every lane in `lane_ids` order, front-first, and execute
+        each vehicle's lane-change decision.
+
+        A walk may resume at the `k`-th vehicle of lane ``lane_ids[first]``
+        with `leader` ahead of it, when every vehicle before it stays.
+        """
         decide = self.lane_change_decision
-        for lid in self.lane_ids:
+        for lid in self.lane_ids[first:]:
             lane = self.lanes[lid]
             # Iterate over a snapshot: executing a change mutates the lists.
             # While a lane is walked only the walked vehicle can leave it,
             # so the last snapshot vehicle that stayed is the next leader.
-            leader = None
-            for veh in list(lane):
+            for veh in lane[k:]:
                 target = decide(veh, leader)
                 if target is None:
                     leader = veh
@@ -431,6 +437,7 @@ class World:
                 dest.insert(pos, veh)
                 veh.lane = target
                 self._log(EVENT_LANE_CHANGE, veh.id)
+            k, leader = 0, None
 
     # ---- longitudinal dynamics ----------------------------------------
 

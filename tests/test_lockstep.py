@@ -91,12 +91,17 @@ def movers(monkeypatch):
     """Check every lane-change pass of a batch: before the pass runs,
     each vehicle whose scalar decision would move it, with no change made
     yet, must be a candidate of the filter.  Counts those movers by
-    branch."""
+    branch, and as ``lone`` those that are the batch's only vehicle.  The
+    objects are left as the pass finds them, so it still has to bring
+    them up to date itself."""
     counts = Counter()
     apply = LockstepWorld._apply_lane_changes
 
     def checked(world):
         candidates = set(world._lane_change_candidates().tolist())
+        vehicles = [veh for seg in world.segments for lid in seg.lane_ids
+                    for veh in seg.lanes[lid]]
+        kept = [(veh.x, veh.v, veh.a) for veh in vehicles]
         world.sync_vehicles()
         row = 0
         for seg in world.segments:
@@ -106,9 +111,12 @@ def movers(monkeypatch):
                     if seg.lane_change_decision(veh, leader) is not None:
                         assert row in candidates, (seg.time, veh)
                         counts[lane_change_branch(veh)] += 1
+                        counts["lone"] += len(vehicles) == 1
                     leader = veh
                     row += 1
         assert row == world.vehicle_count()
+        for veh, (x, v, a) in zip(vehicles, kept):
+            veh.x, veh.v, veh.a = x, v, a
         apply(world)
 
     monkeypatch.setattr(LockstepWorld, "_apply_lane_changes", checked)
@@ -141,6 +149,18 @@ def test_stress_batch_equals_scalar_and_filter_keeps_movers(movers, name,
              for seed in SEEDS]
     assert_batch_matches(tasks)
     assert movers[branch] > 0, dict(movers)
+
+
+@pytest.mark.parametrize("name,branch", [("onramp", "merge"),
+                                         ("offramp", "exit")])
+def test_lone_ramp_vehicle_batch_equals_scalar(movers, name, branch):
+    # no mainline traffic and a thin ramp stream: a merging or exiting
+    # vehicle is often the only vehicle of the batch when it moves
+    sc = short(name, 150.0)
+    sc = sc.replace(demand=replace(sc.demand, mainline_flow=0.0,
+                                   ramp_flow=60.0))
+    assert_batch_matches([(sc, SYSTEMS[1], seed) for seed in SEEDS])
+    assert movers[branch] > 0 and movers["lone"] > 0, dict(movers)
 
 
 def conserved(world) -> int:
