@@ -10,8 +10,8 @@ one numpy pass over every row that keeps the few vehicles whose
 `World.lane_change_decision` could return a lane: the decision's own
 tests, with a margin, so it is a prefilter and not a second lane-change
 model.  Only those vehicles meet the scalar decision, in walk order; a
-segment's first change makes the filter stale there, and the rest of that
-segment's walk runs the scalar code.  The arrays hold the vehicles' state,
+segment's first change makes the filter stale there, and that segment's
+own `World._apply_lane_changes` resumes its walk.  The arrays hold the vehicles' state,
 and a `Vehicle` object is brought up to date only where scalar code reads
 it (see `LockstepWorld`).  `run_lockstep` scans each control interval's
 steps for the episodes' danger flags and metric sums in one pass, then
