@@ -448,6 +448,16 @@ def _broadcast_ttc(world: World, ttc_star: float) -> None:
                 veh.danger_ttc = ttc_star
 
 
+def _sum_left(values) -> float:
+    """``(0.0 + v0) + v1 + ...``, added left to right, as builtin `sum`
+    adds floats on Python 3.10 and 3.11; from 3.12 it compensates, so an
+    output it sums would depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class Episode:
     """One episode of `policy` on `scenario`, a control interval at a time.
 
@@ -573,7 +583,7 @@ class Episode:
         if self.policy.controls_gap:
             completed = world.all_completed[self.completed_start:]
             self.completed_start = len(world.all_completed)
-            mean_delay = (sum(d for _, d in completed) / len(completed)
+            mean_delay = (_sum_left(d for _, d in completed) / len(completed)
                           if completed else None)
             r_e = reward_acc_efficiency(mean_delay,
                                         self.scenario.geometry.mainline_length,
@@ -624,7 +634,7 @@ class Episode:
             near_collisions=nc,
             tally=self.tally,
             mean_speed=speed_sum / n if n else 0.0,
-            mean_delay=sum(delays) / len(delays),
+            mean_delay=_sum_left(delays) / len(delays),
             mean_abs_accel=accel_sum / n if n else 0.0,
             mean_sq_jerk=(self.jerk_sq_sum / self.jerk_samples
                           if self.jerk_samples else 0.0),

@@ -24,10 +24,11 @@ so a row's leader is the row before it.  Each float expression keeps the
 scalar association (``a * b * c`` is ``(a * b) * c``).  Each branch is a
 mask of the same comparison; a cap such as ``if v > cap: v = cap`` is
 ``np.minimum(cap, v)``, which gives ``v`` where the two are equal.  Each
-segment's noise comes from a copy of its own generator, drawn in its walk
-order.  Every sum the scalar code accumulates vehicle by vehicle is
-accumulated in the same order with ``np.add.accumulate``, never with
-numpy's pairwise sums.
+row that draws noise calls its segment's own ``rng.random`` in row order,
+which is the segment's walk order: the generator and the calls of the
+scalar `World._longitudinal`.  Every sum the scalar code accumulates
+vehicle by vehicle is accumulated in the same order with
+``np.add.accumulate``, never with numpy's pairwise sums.
 
 A step over a few hundred vehicles costs little more than one over twenty,
 so only batches pay: a batch of one runs slower than the scalar `World`.
@@ -35,7 +36,6 @@ so only batches pay: a batch of one runs slower than the scalar `World`.
 
 from __future__ import annotations
 
-from random import Random
 from typing import Optional
 
 import numpy as np
@@ -109,36 +109,6 @@ def _relax(urgency):
     return relax
 
 
-class _Draws:
-    """One segment's driver noise: the values its `random.Random` would
-    return, in order, made in blocks by numpy's MT19937 from a copy of the
-    generator's state.  Both generators are the same Mersenne Twister and
-    build ``random()`` from two 32-bit outputs the same way."""
-
-    BLOCK = 1024
-
-    def __init__(self, rng: Random):
-        state = rng.getstate()[1]  # 624 words, then the position
-        self._mt = np.random.MT19937(0)
-        self._mt.state = {"bit_generator": "MT19937",
-                          "state": {"key": np.array(state[:-1],
-                                                    dtype=np.uint32),
-                                    "pos": state[-1]}}
-        self._buf = np.zeros(0)
-        self._pos = 0
-
-    def take(self, k: int) -> np.ndarray:
-        """The next `k` draws."""
-        if self._pos + k > len(self._buf):
-            raw = self._mt.random_raw(2 * max(k, self.BLOCK))
-            fresh = ((raw[0::2] >> 5) * 67108864.0 + (raw[1::2] >> 6)) \
-                * (1.0 / 9007199254740992.0)
-            self._buf = np.concatenate((self._buf[self._pos:], fresh))
-            self._pos = 0
-        self._pos += k
-        return self._buf[self._pos - k:self._pos]
-
-
 class _Rows:
     """Where each lane's rows start in one order.
 
@@ -170,16 +140,17 @@ class LockstepWorld(World):
 
     It holds no vehicle in its own `lanes`: `vehicle_count` counts every
     segment's, and the segments' lane lists hold the `Vehicle` objects in
-    the order of the rows.  The arrays hold the vehicles' state; an
-    object's ``x`` and ``v`` are current only where scalar code reads
-    them: a lane's rear vehicle before a spawn reads it, every vehicle of a
-    segment before that segment's first lane-change decision of a pass,
-    and, through `sync_vehicles`, which writes ``a`` too, every vehicle
-    before the episodes score and decide.  Each
-    segment's commanded gap and danger threshold are its
+    the order of the rows.  After each step a segment's `World` is what
+    its scalar step would leave, its generator's state included, in
+    everything but its vehicles' ``x``, ``v``, ``a`` and ``danger_latch``,
+    which the arrays hold.  An object's ``x`` and ``v`` are current only
+    where scalar code reads them: a lane's rear vehicle before a spawn
+    reads it, every vehicle of a segment before that segment's first
+    lane-change decision of a pass, and, through `sync_vehicles`, which
+    writes ``a`` too, every vehicle before the episodes score and decide.
+    Each segment's commanded gap and danger threshold are its
     ``default_gap_cmd`` and ``default_danger_ttc``, taken by
-    `read_commands`: every actuated vehicle carries those values.  The
-    segments' `rng` is read once, here; their draws come from `_Draws`.
+    `read_commands`: every actuated vehicle carries those values.
     """
 
     def __init__(self, segments: list[World]):
@@ -206,8 +177,7 @@ class LockstepWorld(World):
         self._lane_len = np.zeros(n_seg * n_lanes, dtype=np.intp)
         self._rows: Optional[_Rows] = None  # built on demand
         self._cols = None  # (x, v, a, length) by row, gathered on demand
-        self._streams = [_Draws(seg.rng) for seg in segments]
-        self._drawing = [0] * n_seg  # live vehicles that draw noise
+        self._draw = [seg.rng.random for seg in segments]
         self._gap_cmd = np.zeros(n_seg)
         self._danger_ttc = np.zeros(n_seg)
         self._aim = np.zeros(n_seg)  # standoff the danger reaction aims at
@@ -293,8 +263,6 @@ class LockstepWorld(World):
         world._log(EVENT_DESPAWN, veh.id)
         slot = self._base[s] + veh.id
         self._objs[slot] = None  # as the scalar world, keep no departed one
-        if self._b[DRAWS, slot]:
-            self._drawing[s] -= 1
 
     # ---- spawning ------------------------------------------------------
 
@@ -331,7 +299,6 @@ class LockstepWorld(World):
                     veh = lane[-1]
                     slot = base + veh.id
                     acc = veh.equipped and seg.acc_enabled
-                    draws = not acc and veh.sigma > 0.0
                     f[X, slot] = veh.x
                     f[V, slot] = veh.v
                     f[A, slot] = veh.a
@@ -339,11 +306,10 @@ class LockstepWorld(World):
                     f[TAU, slot] = veh.tau
                     f[NOISE, slot] = veh.sigma * bound * dt
                     b[ACC, slot] = acc
-                    b[DRAWS, slot] = draws
+                    b[DRAWS, slot] = not acc and veh.sigma > 0.0
                     b[LATCH, slot] = veh.danger_latch
                     b[EXIT, slot] = veh.route == ROUTE_EXIT
                     self._objs[slot] = veh
-                    self._drawing[s] += draws
                     self._exiters = self._exiters or veh.route == ROUTE_EXIT
                     new.append((s * self._n_lanes + li, slot))
         if new:  # each at the end of its lane's rows
@@ -536,11 +502,11 @@ class LockstepWorld(World):
             v_new = v + bound * dt
             np.minimum(FREE_FLOW_SPEED, v_new, out=v_new)
             np.minimum(v_safe, v_new, out=v_new)
-            if any(self._drawing):  # each segment's draws in walk order
+            drawing = draws.nonzero()[0]
+            if len(drawing):  # each segment's generator, in its walk order
+                draw = self._draw
                 u = np.zeros(n)
-                np.place(u, draws, np.concatenate([
-                    stream.take(k)
-                    for stream, k in zip(self._streams, self._drawing)]))
+                u[drawing] = [draw[s]() for s in seg[drawing].tolist()]
                 u *= noise
                 v_new -= u
 

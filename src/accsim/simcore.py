@@ -34,7 +34,6 @@ from .scenario import (
 
 FREE_FLOW_SPEED = 33.3  # m/s (120 km/h) cap for every vehicle
 RAMP_ENTRY_SPEED = 15.0  # m/s at the ramp origin
-ACC_REACTION_TIME = 0.1  # s, effective actuation delay of equipped vehicles
 ACC_COMFORT_DECEL = 1.5  # m/s^2, braking limit outside danger reactions
 ACC_MIN_STANDOFF = 1.0  # m, bumper margin kept by the last-resort crash guard
 ACC_STANDOFF_PER_TTC = 0.8  # m of extra stopping margin per danger-threshold second

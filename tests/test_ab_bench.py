@@ -1,5 +1,6 @@
-"""The A/B recorder, run on a two-commit toy repository."""
+"""The A/B recorder, run on a two-commit toy repository, and its verdicts."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -41,8 +42,10 @@ def make_toy_repo(tmp_path):
     (repo / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "bench/run.py"], "run_seconds": 25,
         "end_to_end": [
-            {"name": "ops_per_s", "unit": "ops/s", "better": "higher"},
-            {"name": "op_p50_ms", "unit": "ms", "better": "lower"}]}))
+            {"name": "ops_per_s", "unit": "ops/s", "better": "higher",
+             "bound": 0.25},
+            {"name": "op_p50_ms", "unit": "ms", "better": "lower",
+             "bound": 0.2}]}))
     base_sha = commit_toy(repo, 1.0, 4.0)
     head_sha = commit_toy(repo, 2.0, 5.0)
     return repo, base_sha, head_sha
@@ -78,8 +81,12 @@ def test_recorder_writes_pairs_spreads_and_wins(tmp_path):
     assert ops["base"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert ops["head"]["median"] == 2.0 and ops["head_over_base"] == 2.0
     assert (ops["head_wins"], ops["base_wins"]) == (2, 0)
+    # the head wins every pair, by more than the base side's zero spread
+    assert ops["within_bound"] is True and ops["gain_rule_met"] is True
     p50 = rec["metrics"]["op_p50_ms"]  # lower is better: head loses
     assert (p50["head_wins"], p50["base_wins"]) == (0, 2)
+    # 5.0 against 4.0 is 25% worse, past the toy's 20% bound
+    assert p50["within_bound"] is False and p50["gain_rule_met"] is False
     # the base checkout is gone again
     assert len(git(repo, "worktree", "list").splitlines()) == 1
 
@@ -124,3 +131,29 @@ def test_recorder_marks_dirty_when_a_run_edits_a_tracked_file(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rec = json.loads((repo / f"BENCH_{head_sha[:7]}_toy.json").read_text())
     assert rec["head"] == {"sha": head_sha, "dirty": True}
+
+
+def test_gain_rule_needs_nine_in_ten_wins_beyond_the_base_spread():
+    spec = importlib.util.spec_from_file_location("ab_bench", RECORDER)
+    ab_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_bench)
+    metric = [{"name": "ops_per_s", "unit": "ops/s", "better": "higher",
+               "bound": 0.25}]
+
+    def verdicts(base, head):
+        pairs = [{"base": {"metrics": {"ops_per_s": b}},
+                  "head": {"metrics": {"ops_per_s": h}}}
+                 for b, h in zip(base, head)]
+        out = ab_bench.summarize(pairs, metric)["ops_per_s"]
+        return out["within_bound"], out["gain_rule_met"]
+
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    # base quartiles 11 and 13: a gain of 3 in every pair exceeds the spread
+    assert verdicts(base, [b + 3.0 for b in base]) == (True, True)
+    # ... a gain of 1.5 does not, though the head wins every pair
+    assert verdicts(base, [b + 1.5 for b in base]) == (True, False)
+    # 8 wins in 10 is too few, however large the gain
+    head = [b + 5.0 for b in base[:8]] + base[8:]
+    assert verdicts(base, head) == (True, False)
+    # a 30% loss in every pair is past the 25% bound
+    assert verdicts(base, [0.7 * b for b in base]) == (False, False)

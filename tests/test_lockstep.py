@@ -2,12 +2,14 @@
 
 Every episode of a `run_lockstep` batch is compared with the scalar
 `run_episode` of the same task: its CSV row, the reprs of its rewards and
-final threshold, and its full event log.  Each batch mixes every control
+final threshold, its full event log and the final state of its
+driver-noise generator.  Each batch mixes every control
 path (no actuation, scripted gap, both untrained agents) at penetrations
 0, 0.4 and 1 on two seeds; `onramp` runs also crash, so the removal of
 crashed vehicles is compared too.  Stress batches push each lane-change
 branch, and every pass checks that the batch's lane-change filter keeps
-each vehicle the scalar decision would move.
+each vehicle the scalar decision would move.  At penetration 0 every
+equipped system moves as `base` does, in either engine.
 """
 
 from collections import Counter
@@ -49,7 +51,7 @@ def outcome(finish):
 
 
 def scalar_run(scenario, spec, seed):
-    """(outcome, event log) of the scalar episode."""
+    """(outcome, world) of the scalar episode."""
     worlds = []
 
     def keep_world(world):
@@ -60,20 +62,22 @@ def scalar_run(scenario, spec, seed):
         return run_episode(scenario, spec.build(scenario), mode="eval",
                            seed=seed, trajectory_sink=keep_world)
 
-    return outcome(finish), worlds[0].events
+    return outcome(finish), worlds[0]
 
 
 def assert_batch_matches(tasks):
-    """Run `tasks` as one batch; each episode must equal its scalar run.
+    """Run `tasks` as one batch; each episode must equal its scalar run,
+    and leave its driver-noise generator where the scalar run leaves it.
     Returns the batch's episodes."""
     episodes = [Episode(sc, spec.build(sc), mode="eval", seed=seed)
                 for sc, spec, seed in tasks]
     run_lockstep(episodes)
     for (sc, spec, seed), episode in zip(tasks, episodes):
         label = (spec.kind, sc.demand.penetration_rate, seed)
-        want, events = scalar_run(sc, spec, seed)
+        want, world = scalar_run(sc, spec, seed)
         assert outcome(episode.finish) == want, label
-        assert episode.world.events == events, label
+        assert episode.world.events == world.events, label
+        assert episode.world.rng.getstate() == world.rng.getstate(), label
     return episodes
 
 
@@ -161,6 +165,34 @@ def test_lone_ramp_vehicle_batch_equals_scalar(movers, name, branch):
                                    ramp_flow=60.0))
     assert_batch_matches([(sc, SYSTEMS[1], seed) for seed in SEEDS])
     assert movers[branch] > 0 and movers["lone"] > 0, dict(movers)
+
+
+def physics(finish):
+    """The metrics of an episode's `finish` that its vehicles' motion
+    decides; its false positives and negatives are left out."""
+    m = finish().metrics
+    return (m.near_collisions, m.mean_speed, m.mean_delay, m.mean_abs_accel,
+            m.mean_sq_jerk)
+
+
+@pytest.mark.parametrize("name", ["desk", "onramp"])
+def test_equipped_systems_move_as_base_at_zero_penetration(name):
+    # with no equipped vehicle every system's gap and threshold commands
+    # reach nobody, and every vehicle draws driver noise; saint's own
+    # threshold still moves, so only its safety tally may differ
+    sc = apply_sweep_value(short(name, DURATIONS[name]), "penetration", 0.0)
+    specs = (PolicySpec("scripted", ttc_star=4.0),
+             PolicySpec("fixed-ttc", ttc_star=4.0), PolicySpec("saint"))
+    want = physics(lambda: run_episode(sc, PolicySpec("base").build(sc),
+                                       mode="eval", seed=3))
+    episodes = [Episode(sc, spec.build(sc), mode="eval", seed=3)
+                for spec in specs]
+    run_lockstep(episodes)
+    for spec, episode in zip(specs, episodes):
+        scalar = physics(lambda: run_episode(sc, spec.build(sc), mode="eval",
+                                             seed=3))
+        assert scalar == want, spec
+        assert physics(episode.finish) == want, spec
 
 
 def conserved(world) -> int:

@@ -19,8 +19,9 @@ uncommitted changes before any head-side run or after the last pair
 commit is not marked by the first), the usable core
 count, the run length, every run's ``correct``, ``attempted``, ``failed``
 and end-to-end metric values, and per metric each side's median and
-quartiles (inclusive method) and the pairs each side won in the direction
-``BENCHMARK.json`` gives; a tie counts for neither side.
+quartiles (inclusive method), the pairs each side won in the direction
+``BENCHMARK.json`` gives (a tie counts for neither side), and the verdicts
+``within_bound`` and ``gain_rule_met`` (see `summarize`).
 """
 
 import argparse
@@ -89,7 +90,12 @@ def spread(values: list) -> dict:
 
 
 def summarize(pairs: list, end_to_end: list) -> dict:
-    """Per metric: each side's spread and the pairs each side won."""
+    """Per metric: each side's spread, the pairs each side won, whether
+    the head's median is no worse than the base's by more than the
+    metric's ``bound`` (a fraction of the base median), and whether the
+    head's gain meets the rule for claiming one: it wins at least 9 of
+    every 10 pairs, and its median gain exceeds the base side's
+    interquartile range."""
     out = {}
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -99,6 +105,9 @@ def summarize(pairs: list, end_to_end: list) -> dict:
                         for b, h in zip(base, head))
         ties = sum(h == b for b, h in zip(base, head))
         base_side, head_side = spread(base), spread(head)
+        gain = head_side["median"] - base_side["median"]
+        if not higher:
+            gain = -gain
         out[name] = {
             "unit": spec["unit"], "better": spec["better"],
             "base": base_side, "head": head_side,
@@ -106,6 +115,9 @@ def summarize(pairs: list, end_to_end: list) -> dict:
                                if base_side["median"] else None),
             "head_wins": head_wins,
             "base_wins": len(pairs) - head_wins - ties,
+            "within_bound": -gain <= spec["bound"] * abs(base_side["median"]),
+            "gain_rule_met": (10 * head_wins >= 9 * len(pairs)
+                              and gain > base_side["q3"] - base_side["q1"]),
         }
     return out
 
