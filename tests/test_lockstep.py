@@ -3,9 +3,9 @@
 Every episode of a `run_lockstep` batch is compared with the scalar
 `run_episode` of the same task: its CSV row, the reprs of its rewards and
 final threshold, its full event log and the final state of its
-driver-noise generator.  Each batch mixes every control
-path (no actuation, scripted gap, both untrained agents) at penetrations
-0, 0.4 and 1 on two seeds; `onramp` runs also crash, so the removal of
+driver-noise generator.  Each batch mixes every control path (no
+actuation, scripted gap, both untrained agents) at penetrations 0, 0.4
+and 1 on two seeds; `onramp` runs also crash, so the removal of
 crashed vehicles is compared too.  Stress batches push each lane-change
 branch, and every pass checks that the batch's lane-change filter keeps
 each vehicle the scalar decision would move.  At penetration 0 every
@@ -167,10 +167,10 @@ def test_lone_ramp_vehicle_batch_equals_scalar(movers, name, branch):
     assert movers[branch] > 0 and movers["lone"] > 0, dict(movers)
 
 
-def physics(finish):
-    """The metrics of an episode's `finish` that its vehicles' motion
+def physics(result):
+    """The metrics of an episode's result that its vehicles' motion
     decides; its false positives and negatives are left out."""
-    m = finish().metrics
+    m = result.metrics
     return (m.near_collisions, m.mean_speed, m.mean_delay, m.mean_abs_accel,
             m.mean_sq_jerk)
 
@@ -183,16 +183,15 @@ def test_equipped_systems_move_as_base_at_zero_penetration(name):
     sc = apply_sweep_value(short(name, DURATIONS[name]), "penetration", 0.0)
     specs = (PolicySpec("scripted", ttc_star=4.0),
              PolicySpec("fixed-ttc", ttc_star=4.0), PolicySpec("saint"))
-    want = physics(lambda: run_episode(sc, PolicySpec("base").build(sc),
-                                       mode="eval", seed=3))
+    want = physics(run_episode(sc, PolicySpec("base").build(sc),
+                               mode="eval", seed=3))
     episodes = [Episode(sc, spec.build(sc), mode="eval", seed=3)
                 for spec in specs]
     run_lockstep(episodes)
     for spec, episode in zip(specs, episodes):
-        scalar = physics(lambda: run_episode(sc, spec.build(sc), mode="eval",
-                                             seed=3))
-        assert scalar == want, spec
-        assert physics(episode.finish) == want, spec
+        scalar = run_episode(sc, spec.build(sc), mode="eval", seed=3)
+        assert physics(scalar) == want, spec
+        assert physics(episode.finish()) == want, spec
 
 
 def conserved(world) -> int:
