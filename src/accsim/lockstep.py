@@ -1,22 +1,28 @@
 """Lockstep evaluation: one physics step advances a whole batch of episodes.
 
-Every episode of a batch keeps its own scalar `World`, its segment, which
-holds what the episode owns: its spawn schedule and pending queue, event
-log, completions, counters and `Vehicle` objects.  A `LockstepWorld` steps
-all segments together through `World.step`: car following, gap control,
-event detection and despawns run as numpy passes over flat per-vehicle
-arrays, and spawns run each segment's own scalar code.  Lane changes run
-one numpy pass over every row that keeps the few vehicles whose
-`World.lane_change_decision` could return a lane: the decision's own
-tests, with a margin, so it is a prefilter and not a second lane-change
-model.  Only those vehicles meet the scalar decision, in walk order; a
-segment's first change makes the filter stale there, and that segment's
-own `World._apply_lane_changes` resumes its walk.  The arrays hold the vehicles' state,
-and a `Vehicle` object is brought up to date only where scalar code reads
-it (see `LockstepWorld`).  `run_lockstep` scans each control interval's
-steps for the episodes' danger flags and metric sums in one pass, then
-calls each `Episode`'s `score` and `decide`, so every episode of a batch
-equals its scalar `run_episode` bit for bit.
+Every episode of a batch keeps its own scalar `World`, its segment.  The
+segment owns the episode's bookkeeping, through the same `World` methods
+its scalar steps call: it spawns its due and queued vehicles
+(`World._process_spawns`), records each departure
+(`World._record_departure`) and records each step's collisions and
+near-collision onsets, removing the crashed vehicles
+(`World._record_events`).  It holds the spawn schedule and queue, event
+log, completions, counters and `Vehicle` objects.
+
+A `LockstepWorld` steps all segments together through `World.step`, and
+its flat per-vehicle arrays own the kernels: car following and gap
+control, the search for collisions and near-collision pairs, the leaving
+tests and a lane-change prefilter.  The prefilter runs the tests of
+`World.lane_change_decision`, with a margin, over every row and keeps the
+few vehicles whose decision could return a lane, so it is no second
+lane-change model.  Only those vehicles meet the scalar decision, in walk
+order; a segment's first change makes the filter stale there, and that
+segment's own `World._apply_lane_changes` resumes its walk.  A `Vehicle`
+object is brought up to date only where scalar code reads it (see
+`LockstepWorld`).  `run_lockstep` scans each control interval's steps for
+the episodes' danger flags and metric sums in one pass, then calls each
+`Episode`'s `score` and `decide`, so every episode of a batch equals its
+scalar `run_episode` bit for bit.
 
 The arrays keep the scalar arithmetic.  Their rows are each segment's walk
 order: by segment, then by lane in ``lane_ids`` order, then front-first,
@@ -41,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .agents import Episode
-from .scenario import RAMP_LANE, ROUTE_EXIT, ROUTE_THROUGH
+from .scenario import ROUTE_EXIT
 from .simcore import (
     ACC_COMFORT_DECEL,
     ACC_KD,
@@ -49,9 +55,6 @@ from .simcore import (
     ACC_MIN_STANDOFF,
     ACC_STANDOFF_PER_TTC,
     CRUISE_GAIN,
-    EVENT_ACTUAL_COLLISION,
-    EVENT_DESPAWN,
-    EVENT_NEAR_COLLISION,
     EXIT_PREP_DISTANCE,
     FREE_FLOW_SPEED,
     World,
@@ -110,22 +113,26 @@ def _relax(urgency):
 
 
 class _Rows:
-    """Where each lane's rows start in one order.
+    """Each row's group, ``segment * n_lanes + lane index``, and where each
+    group's rows start, in one order.
 
     Pair ``j`` is row ``j`` followed by row ``j + 1``; `lane_starts` lists
-    the pairs whose second row starts a lane, so it has no leader.
+    the pairs whose second row starts a lane, so it has no leader.  `ramp`
+    lists the ramp lane's rows, or is None without an on-ramp.
     """
 
-    __slots__ = ("group_start", "first", "lane_starts", "ramp")
+    __slots__ = ("group", "group_start", "first", "lane_starts", "ramp")
 
-    def __init__(self, lane_len: np.ndarray, group_ramp: Optional[np.ndarray]):
+    def __init__(self, lane_len: np.ndarray, n_lanes: int, has_ramp: bool):
+        self.group = np.arange(len(lane_len)).repeat(lane_len)
         group_start = np.zeros(len(lane_len) + 1, dtype=np.intp)
         np.cumsum(lane_len, out=group_start[1:])
         self.group_start = group_start
         self.first = group_start[lane_len.nonzero()[0]]  # no leader
         self.lane_starts = self.first[1:] - 1
-        self.ramp = (None if group_ramp is None
-                     else np.repeat(group_ramp, lane_len).nonzero()[0])
+        # the ramp is the last of `lane_ids`
+        self.ramp = ((self.group % n_lanes == n_lanes - 1).nonzero()[0]
+                     if has_ramp else None)
 
 
 # Rows of `LockstepWorld._f`, per-slot floats: the state, then the vehicle's
@@ -138,19 +145,20 @@ ACC, DRAWS, LATCH, EXIT = range(4)
 class LockstepWorld(World):
     """The segments of a batch, stepped together through `World.step`.
 
-    It holds no vehicle in its own `lanes`: `vehicle_count` counts every
-    segment's, and the segments' lane lists hold the `Vehicle` objects in
-    the order of the rows.  After each step a segment's `World` is what
-    its scalar step would leave, its generator's state included, in
+    Each segment's `World` keeps its own bookkeeping: its spawns,
+    departures and events go through its own `World` methods, so it is
+    what its scalar step would leave, its generator's state included, in
     everything but its vehicles' ``x``, ``v``, ``a`` and ``danger_latch``,
-    which the arrays hold.  An object's ``x`` and ``v`` are current only
-    where scalar code reads them: a lane's rear vehicle before a spawn
-    reads it, every vehicle of a segment before that segment's first
-    lane-change decision of a pass, and, through `sync_vehicles`, which
-    writes ``a`` too, every vehicle before the episodes score and decide.
-    Each segment's commanded gap and danger threshold are its
-    ``default_gap_cmd`` and ``default_danger_ttc``, taken by
-    `read_commands`: every actuated vehicle carries those values.
+    which the arrays hold.  The batch holds no vehicle in its own `lanes`:
+    `vehicle_count` counts every segment's, and the segments' lane lists
+    hold the `Vehicle` objects in the order of the rows.  An object's ``x``
+    and ``v`` are current only where scalar code reads them: a lane's rear
+    vehicle before a spawn reads it, every vehicle of a segment before that
+    segment's first lane-change decision of a pass, and, through
+    `sync_vehicles`, which writes ``a`` too, every vehicle before the
+    episodes score and decide.  Each segment's commanded gap and danger
+    threshold are its ``default_gap_cmd`` and ``default_danger_ttc``, taken
+    by `read_commands`: every actuated vehicle carries those values.
     """
 
     def __init__(self, segments: list[World]):
@@ -169,7 +177,8 @@ class LockstepWorld(World):
         sizes = [len(seg._schedule) for seg in segments]
         self._base = np.cumsum([0] + sizes[:-1]).tolist()
         self._slot_base = np.array(self._base, dtype=np.intp)
-        self._slot_seg = np.repeat(np.arange(n_seg, dtype=np.int32), sizes)
+        self._seg_ids = np.arange(n_seg, dtype=np.int32)
+        self._slot_seg = self._seg_ids.repeat(sizes)
         self._f = np.zeros((NOISE + 1, sum(sizes)))
         self._b = np.zeros((EXIT + 1, sum(sizes)), dtype=bool)
         self._objs = np.empty(sum(sizes), dtype=object)
@@ -183,12 +192,6 @@ class LockstepWorld(World):
         self._aim = np.zeros(n_seg)  # standoff the danger reaction aims at
         self._exiters = False  # whether an exit-route vehicle ever spawned
         self.read_commands()
-        # lane facts per group (segment, lane)
-        lane_ids = np.array(self.lane_ids)
-        self._group_ramp = (np.tile(lane_ids == RAMP_LANE, n_seg)
-                            if self.ramp_end is not None else None)
-        self._group_lane0 = np.tile(lane_ids == 0, n_seg)
-        self._group_ids = np.arange(n_seg * n_lanes)
         # wider than the span of positions when lanes change: vehicles
         # enter at 0 or at the ramp's start, past -ramp_length, and every
         # one at the mainline's end has left
@@ -223,7 +226,8 @@ class LockstepWorld(World):
 
     def _structure(self) -> _Rows:
         if self._rows is None:
-            self._rows = _Rows(self._lane_len, self._group_ramp)
+            self._rows = _Rows(self._lane_len, self._n_lanes,
+                               self.ramp_end is not None)
         return self._rows
 
     def _columns(self) -> tuple:
@@ -255,30 +259,19 @@ class LockstepWorld(World):
             parts.append(np.array(slots, dtype=np.intp))
         self._set_order(np.concatenate(parts), lane_len)
 
-    def _remove(self, s: int, veh) -> None:
-        """Log `veh` leaving segment `s` and drop it from its lane list."""
-        world = self.segments[s]
-        world.lanes[veh.lane].remove(veh)
-        world.despawned += 1
-        world._log(EVENT_DESPAWN, veh.id)
-        slot = self._base[s] + veh.id
-        self._objs[slot] = None  # as the scalar world, keep no departed one
-
     # ---- spawning ------------------------------------------------------
 
     def _process_spawns(self) -> None:
-        """Each segment's scalar spawns; the new vehicles become rows at
-        the rear of their lanes."""
+        """Each segment's `World._process_spawns`; the vehicles that enter
+        become rows at the rear of their lanes."""
         time, step_index = self.time, self.step_index
-        lane_ids = self.lane_ids
+        lane_ids, n_lanes = self.lane_ids, self._n_lanes
         f, b = self._f, self._b
         bound, dt = self.run.accel_bound, self.run.physics_timestep
-        new = []  # (group, slot), in row order
+        new = []  # (group, slot)
         for s, seg in enumerate(self.segments):
             seg.time, seg.step_index = time, step_index
-            if not seg._pending and (
-                    seg._next_spawn == len(seg._schedule)
-                    or seg._schedule[seg._next_spawn].time > time):
+            if not seg._spawn_due():
                 continue
             base = self._base[s]
             for lid in lane_ids:  # a spawn reads its lane's rear vehicle
@@ -287,32 +280,19 @@ class LockstepWorld(World):
                     rear = lane[-1]
                     rear.x = f.item(X, base + rear.id)
                     rear.v = f.item(V, base + rear.id)
-            first_new = seg._next_id
-            seg._process_spawns()
-            if seg._next_id == first_new:
-                continue
-            # a lane takes at most one vehicle per step: the next one would
-            # sit on top of it
-            for li, lid in enumerate(lane_ids):
-                lane = seg.lanes[lid]
-                if lane and lane[-1].id >= first_new:
-                    veh = lane[-1]
-                    slot = base + veh.id
-                    acc = veh.equipped and seg.acc_enabled
-                    f[X, slot] = veh.x
-                    f[V, slot] = veh.v
-                    f[A, slot] = veh.a
-                    f[LENGTH, slot] = veh.length
-                    f[TAU, slot] = veh.tau
-                    f[NOISE, slot] = veh.sigma * bound * dt
-                    b[ACC, slot] = acc
-                    b[DRAWS, slot] = not acc and veh.sigma > 0.0
-                    b[LATCH, slot] = veh.danger_latch
-                    b[EXIT, slot] = veh.route == ROUTE_EXIT
-                    self._objs[slot] = veh
-                    self._exiters = self._exiters or veh.route == ROUTE_EXIT
-                    new.append((s * self._n_lanes + li, slot))
-        if new:  # each at the end of its lane's rows
+            for veh in seg._process_spawns():
+                slot = base + veh.id
+                acc = veh.equipped and seg.acc_enabled
+                exits = veh.route == ROUTE_EXIT
+                f[:, slot] = (veh.x, veh.v, veh.a, veh.length, veh.tau,
+                              veh.sigma * bound * dt)  # X .. NOISE
+                b[:, slot] = (acc, not acc and veh.sigma > 0.0,
+                              veh.danger_latch, exits)  # ACC .. EXIT
+                self._objs[slot] = veh
+                self._exiters = self._exiters or exits
+                new.append((s * n_lanes + lane_ids.index(veh.lane), slot))
+        if new:  # each at the end of its lane's rows, in row order
+            new.sort()
             order, lane_len = self._order, self._lane_len.copy()
             ends = np.cumsum(lane_len).tolist()
             pieces, start = [], 0
@@ -343,7 +323,7 @@ class LockstepWorld(World):
         rows = self._structure()
         n_lanes, n_main = self._n_lanes, self.geometry.lane_count
         bound = self.run.accel_bound
-        group = self._group_ids.repeat(self._lane_len)
+        group = rows.group
         tau = self._f[TAU].take(order)
         # discretionary: pair j's follower, row j + 1, is impeded; the
         # decision's cap at FREE_FLOW_SPEED decides no test here, since an
@@ -447,9 +427,9 @@ class LockstepWorld(World):
             return
         order, objs, n_lanes = self._order, self._objs, self._n_lanes
         x, v, _, _ = self._columns()
-        start = self._structure().group_start
-        groups = start.searchsorted(candidates, side="right") - 1
-        start = start.tolist()
+        rows = self._structure()
+        groups = rows.group[candidates]
+        start = rows.group_start.tolist()
         changed, synced = [], -1
         for r, g in zip(candidates.tolist(), groups.tolist()):
             s, li = divmod(g, n_lanes)
@@ -585,9 +565,7 @@ class LockstepWorld(World):
         if np.count_nonzero(behind):  # re-sort those lanes, stably
             order = order.copy()
             starts = rows.group_start
-            lanes = np.searchsorted(starts, behind.nonzero()[0] + 1,
-                                    side="right") - 1
-            for g in np.unique(lanes).tolist():
+            for g in np.unique(rows.group[1:][behind]).tolist():
                 lo, hi = starts[g], starts[g + 1]
                 perm = np.argsort(-x[lo:hi], kind="stable")
                 order[lo:hi] = order[lo:hi][perm]
@@ -599,11 +577,11 @@ class LockstepWorld(World):
     # ---- events and despawns ------------------------------------------
 
     def _detect_events(self) -> None:
-        """Collisions and near-collision onsets, each segment's in walk
-        order, then its crashed vehicles' removal in the scalar order."""
+        """Collisions and near-collision pairs over every row at once; each
+        segment's `World._record_events` records its own, in walk order."""
         order = self._order
-        segments = self.segments
-        hits = []
+        # segment s's hits are hits[ends[s - 1]:ends[s]]
+        hits, ends = [], [0] * len(self.segments)
         if len(order) > 1:
             x, v, _, length = self._columns()
             gap = x[:-1] - length[:-1]  # per pair, as in simcore
@@ -614,36 +592,27 @@ class LockstepWorld(World):
             hit |= gap < 0.0
             hit = hit.nonzero()[0]
             if len(hit):
-                followers = order[hit + 1]
-                hits = zip(self._slot_seg[followers].tolist(),
-                           self._objs[followers].tolist(),
-                           self._objs[order[hit]].tolist(),
-                           (gap[hit] < 0.0).tolist())
-        current = {}  # segment -> near-collision pairs
-        crashed = {}  # segment -> vehicles, as the scalar pass lists them
-        for s, follower, leader, collided in hits:
-            world = segments[s]
-            if collided:
-                world._log(EVENT_ACTUAL_COLLISION, follower.id, leader.id)
-                crashed.setdefault(s, []).extend((leader, follower))
-            else:
-                pair = (follower.id, leader.id)
-                current.setdefault(s, set()).add(pair)
-                if pair not in world._active_nc:
-                    world._log(EVENT_NEAR_COLLISION, follower.id, leader.id)
-        for s, world in enumerate(segments):
-            if world._active_nc or s in current:
-                world._active_nc = current.get(s, set())
-        for s, vehicles in crashed.items():
-            lanes = segments[s].lanes
-            for veh in vehicles:
-                if veh in lanes[veh.lane]:
-                    self._remove(s, veh)
+                followers, leaders = order[hit + 1], order[hit]
+                collided = gap[hit] < 0.0
+                hits = list(zip(self._objs[followers].tolist(),
+                                self._objs[leaders].tolist(),
+                                collided.tolist()))
+                ends = self._slot_seg[followers].searchsorted(
+                    self._seg_ids, side="right").tolist()
+        crashed, lo = [], 0
+        for s, (seg, hi) in enumerate(zip(self.segments, ends)):
+            if seg._record_events(hits[lo:hi]):
+                crashed.append(s)
+            lo = hi
         if crashed:
+            # as the scalar world, keep no departed vehicle
+            self._objs[followers[collided]] = None
+            self._objs[leaders[collided]] = None
             self._rebuild_order(crashed)
 
     def _despawn(self) -> None:
-        """Vehicles that leave, by segment, then by lane, then front-first.
+        """Vehicles that leave, by segment, then by lane, then front-first,
+        each recorded by its segment's `World._record_departure`.
 
         Each leaving condition lies at or past its lane's nearest boundary,
         and every lane is front-first here, so the rows that leave are all
@@ -654,40 +623,39 @@ class LockstepWorld(World):
             return
         x = self._columns()[0]
         end = self.geometry.mainline_length
-        gone = x >= end
-        if self._exiters:
-            gone |= (self._b[EXIT][order] & (x >= self.junction)
-                     & np.repeat(self._group_lane0, self._lane_len))
         rows = self._structure()
+        gone = x >= end
+        if self._exiters:  # exiters leave lane 0, the first of `lane_ids`
+            gone |= (self._b[EXIT][order] & (x >= self.junction)
+                     & (rows.group % self._n_lanes == 0))
         if rows.ramp is not None:
             gone[rows.ramp[x[rows.ramp] >= self.ramp_end]] = True
         leaving = gone.nonzero()[0]
         if not len(leaving):
             return
         slots = order[leaving]
-        for i, s, slot in zip(leaving.tolist(),
-                              self._slot_seg[slots].tolist(), slots.tolist()):
-            veh = self._objs[slot]
-            self._remove(s, veh)
-            if x[i] >= end and veh.route == ROUTE_THROUGH:
-                world = self.segments[s]
-                world.all_completed.append(
-                    (world.time, world.time - veh.spawn_time))
-        groups = np.searchsorted(rows.group_start, leaving, side="right") - 1
+        for s, veh, vx in zip(self._slot_seg[slots].tolist(),
+                              self._objs[slots].tolist(),
+                              x[leaving].tolist()):
+            world = self.segments[s]
+            world.lanes[veh.lane].remove(veh)
+            world._record_departure(veh, vx >= end)
+        self._objs[slots] = None  # as the scalar world, keep no departed one
         self._set_order(order[~gone], self._lane_len - np.bincount(
-            groups, minlength=len(self._lane_len)))
+            rows.group[leaving], minlength=len(self._lane_len)))
 
 
 def _scan(world: LockstepWorld, episodes: list[Episode],
-          ttc_star: np.ndarray, steps: list) -> None:
+          steps: list) -> None:
     """`Episode.scan` after every physics step of one control interval,
     for every episode of the batch, in one pass over the interval's rows.
 
-    `steps` holds each step's `LockstepWorld.record`, and `ttc_star`
-    each episode's threshold.  Nothing reads a scan's output before the
-    interval is scored, so this gives what the scalar scans would: the
-    danger flags (a set), the walk-order speed and |accel| sums added to
-    the totals in step order, and the last step's closing-pair TTCs.
+    `steps` holds each step's `LockstepWorld.record`; each episode's
+    threshold is its segment's danger threshold, as `read_commands` took
+    it.  Nothing reads a scan's output before the interval is scored, so
+    this gives what the scalar scans would: the danger flags (a set), the
+    walk-order speed and |accel| sums added to the totals in step order,
+    and the last step's closing-pair TTCs.
     """
     n_seg, n_lanes = len(episodes), world._n_lanes
     past = [time >= world.run.warmup_duration for time, *_ in steps]
@@ -716,7 +684,7 @@ def _scan(world: LockstepWorld, episodes: list[Episode],
                 step_ttcs[s] = ttc[pairs][closing[pairs]].tolist()
             lo += rows
         seg = group % (n_seg * n_lanes) // n_lanes
-        flagged = (closing & (ttc < ttc_star[seg[1:]])).nonzero()[0]
+        flagged = (closing & (ttc < world._danger_ttc[seg[1:]])).nonzero()[0]
         if len(flagged):
             seg = seg[flagged + 1]
             ids = order[flagged + 1] - world._slot_base[seg]
@@ -762,12 +730,11 @@ def run_lockstep(episodes: list[Episode]) -> None:
         ep.decide()
     while not episodes[0].done:
         world.read_commands()
-        ttc_star = np.array([ep.ttc_star for ep in episodes])
         steps = []
         for _ in range(spc):
             world.step()
             steps.append(world.record())
-        _scan(world, episodes, ttc_star, steps)
+        _scan(world, episodes, steps)
         world.sync_vehicles()
         for ep in episodes:
             ep.score()

@@ -172,7 +172,9 @@ class World:
     """Mutable per-episode simulation state.
 
     Lanes are kept as per-lane lists sorted front-first (descending
-    position).  A single World is owned by one episode/thread.
+    position).  A single World is owned by one episode/thread.  Its spawn,
+    departure and event bookkeeping (`_process_spawns`, `_record_departure`
+    and `_record_events`) also keeps each segment of a lockstep batch.
     """
 
     def __init__(self, geometry: RoadGeometry, run: RunConfig,
@@ -271,7 +273,10 @@ class World:
 
     # ---- spawning ------------------------------------------------------
 
-    def _try_spawn(self, event_index: int, event: SpawnEvent) -> bool:
+    def _try_spawn(self, event_index: int,
+                   event: SpawnEvent) -> Optional[Vehicle]:
+        """The vehicle `event` puts at the rear of its lane, or None when
+        the lane's entrance is blocked."""
         if event.lane == RAMP_LANE:
             x0, cap = self.ramp_start, RAMP_ENTRY_SPEED
         else:
@@ -281,39 +286,48 @@ class World:
             rear = lane[-1]
             gap = rear.x - rear.length - x0
             if gap < 6.0:
-                return False
+                return None
             v_entry = min(cap, krauss_safe_speed(cap, rear.v, gap, 1.0,
                                                  self.run.accel_bound))
             if v_entry < 3.0:
-                return False
+                return None
         else:
             v_entry = cap
         veh = self._make_vehicle(event_index, event, x0, v_entry)
         lane.append(veh)  # rear of the lane
         self.spawned += 1
         self._log(EVENT_SPAWN, veh.id)
-        return True
+        return veh
 
-    def _process_spawns(self) -> None:
-        if not self._pending and (
-                self._next_spawn == len(self._schedule)
-                or self._schedule[self._next_spawn].time > self.time):
-            return
-        still_pending: list[tuple[int, SpawnEvent]] = []
+    def _spawn_due(self) -> bool:
+        """Whether a spawn event is queued or due now."""
+        return bool(self._pending) or (
+            self._next_spawn < len(self._schedule)
+            and self._schedule[self._next_spawn].time <= self.time)
+
+    def _process_spawns(self) -> list[Vehicle]:
+        """Try the queued events, then the due ones, in order; an event
+        whose lane is blocked, or whose lane blocked an earlier event this
+        step, joins the queue.  Returns the vehicles that entered."""
+        entered: list[Vehicle] = []
+        if not self._spawn_due():
+            return entered
+        events, self._pending = self._pending, []
+        schedule, idx = self._schedule, self._next_spawn
+        while idx < len(schedule) and schedule[idx].time <= self.time:
+            events.append((idx, schedule[idx]))
+            idx += 1
+        self._next_spawn = idx
         blocked_lanes: set[int] = set()
-        for idx, ev in self._pending:
-            if ev.lane in blocked_lanes or not self._try_spawn(idx, ev):
-                blocked_lanes.add(ev.lane)
-                still_pending.append((idx, ev))
-        self._pending = still_pending
-        while (self._next_spawn < len(self._schedule)
-               and self._schedule[self._next_spawn].time <= self.time):
-            idx = self._next_spawn
-            ev = self._schedule[idx]
-            self._next_spawn += 1
-            if ev.lane in blocked_lanes or not self._try_spawn(idx, ev):
+        for idx, ev in events:
+            veh = (None if ev.lane in blocked_lanes
+                   else self._try_spawn(idx, ev))
+            if veh is None:
                 blocked_lanes.add(ev.lane)
                 self._pending.append((idx, ev))
+            else:
+                entered.append(veh)
+        return entered
 
     # ---- lane changes --------------------------------------------------
 
@@ -508,34 +522,58 @@ class World:
 
     # ---- events and despawns ------------------------------------------
 
-    def _detect_events(self) -> None:
-        min_gap = self.run.min_gap_for_near_collision
-        log = self._log
+    def _record_departure(self, veh: Vehicle, out: bool) -> None:
+        """Count and log `veh` leaving; `out` says it left at the mainline's
+        end, where a through vehicle completes its traversal."""
+        self.despawned += 1
+        self._log(EVENT_DESPAWN, veh.id)
+        if out and veh.route == ROUTE_THROUGH:
+            self.all_completed.append((self.time, self.time - veh.spawn_time))
+
+    def _record_events(self, hits) -> bool:
+        """Log one step's (follower, leader, collided) hits, given in walk
+        order: each collision, and each near-collision pair that was not
+        active the step before.  The near-collision pairs become the active
+        set, and every crashed vehicle is removed.  Returns whether any
+        vehicle crashed."""
         active_nc = self._active_nc
+        if not hits and not active_nc:
+            return False
+        log = self._log
         current_nc: set[tuple[int, int]] = set()
         crashed: list[Vehicle] = []
+        for follower, leader, collided in hits:
+            if collided:
+                log(EVENT_ACTUAL_COLLISION, follower.id, leader.id)
+                crashed.append(leader)
+                crashed.append(follower)
+            else:
+                pair = (follower.id, leader.id)
+                current_nc.add(pair)
+                if pair not in active_nc:
+                    log(EVENT_NEAR_COLLISION, follower.id, leader.id)
+        self._active_nc = current_nc
+        for veh in crashed:
+            lane = self.lanes[veh.lane]
+            if veh in lane:
+                lane.remove(veh)
+                self._record_departure(veh, False)
+        return bool(crashed)
+
+    def _detect_events(self) -> None:
+        min_gap = self.run.min_gap_for_near_collision
+        hits = []
         for lid in self.lane_ids:
             walk = iter(self.lanes[lid])
             leader = next(walk, None)
             for follower in walk:
                 gap = leader.x - leader.length - follower.x
                 if gap < 0.0:
-                    log(EVENT_ACTUAL_COLLISION, follower.id, leader.id)
-                    crashed.append(leader)
-                    crashed.append(follower)
+                    hits.append((follower, leader, True))
                 elif gap < min_gap and follower.v > leader.v:
-                    pair = (follower.id, leader.id)
-                    current_nc.add(pair)
-                    if pair not in active_nc:
-                        log(EVENT_NEAR_COLLISION, follower.id, leader.id)
+                    hits.append((follower, leader, False))
                 leader = follower
-        self._active_nc = current_nc
-        for veh in crashed:
-            lane = self.lanes[veh.lane]
-            if veh in lane:
-                lane.remove(veh)
-                self.despawned += 1
-                self._log(EVENT_DESPAWN, veh.id)
+        self._record_events(hits)
 
     def _despawn(self) -> None:
         end = self.geometry.mainline_length
@@ -560,11 +598,7 @@ class World:
                 stranded = (lid == RAMP_LANE and ramp_end is not None
                             and x >= ramp_end)
                 if out or exited or stranded:
-                    self.despawned += 1
-                    self._log(EVENT_DESPAWN, veh.id)
-                    if out and veh.route == ROUTE_THROUGH:
-                        self.all_completed.append(
-                            (self.time, self.time - veh.spawn_time))
+                    self._record_departure(veh, out)
                 else:
                     keep.append(veh)
             if len(keep) != run:

@@ -500,6 +500,15 @@ def test_nc_events_are_onset_deduplicated():
     onsets = [e for e in world.events if e.kind == EVENT_NEAR_COLLISION]
     assert len(onsets) == 1
     assert onsets[0].subject == 2 and onsets[0].object == 1
+    # a step without hits still clears the active pair, so its renewal is
+    # a second onset
+    follower.v = 9.0
+    world._detect_events()
+    follower.v = 11.0
+    for _ in range(3):
+        world._detect_events()
+    onsets = [e for e in world.events if e.kind == EVENT_NEAR_COLLISION]
+    assert [(e.subject, e.object) for e in onsets] == [(2, 1), (2, 1)]
 
 
 def test_actual_collision_removes_both_vehicles():
@@ -610,14 +619,27 @@ def test_blocked_spawns_queue_until_space():
     schedule = [SpawnEvent(0.1 * i, 0, False, ROUTE_THROUGH)
                 for i in range(1, 4)]
     world = World(geometry, run, schedule, seed=0)
+    entered = []  # what each step's _process_spawns returned
+    process_spawns = world._process_spawns
+
+    def recorded():
+        entered.append(process_spawns())
+        return entered[-1]
+
+    world._process_spawns = recorded
     world.step()
     blocker = world.lanes[0][0]
+    assert entered == [[blocker]]
     blocker.v = 0.0
     blocker.x = 4.0
     world.step()
     assert world.spawned == 1  # others blocked behind the stopped car
+    assert entered[1] == []
     blocker.x = 400.0
     blocker.v = 30.0
     for _ in range(20):
         world.step()
     assert world.spawned == 3  # queue drains once space opens
+    later = [veh for vehicles in entered[2:] for veh in vehicles]
+    assert [veh.id for veh in later] == [1, 2]  # in queue order
+    assert world.lanes[0][1:] == later
