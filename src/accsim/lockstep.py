@@ -285,9 +285,9 @@ class LockstepWorld(World):
                 acc = veh.equipped and seg.acc_enabled
                 exits = veh.route == ROUTE_EXIT
                 f[:, slot] = (veh.x, veh.v, veh.a, veh.length, veh.tau,
-                              veh.sigma * bound * dt)  # X .. NOISE
+                              veh.sigma * bound * dt)  # rows X to NOISE
                 b[:, slot] = (acc, not acc and veh.sigma > 0.0,
-                              veh.danger_latch, exits)  # ACC .. EXIT
+                              veh.danger_latch, exits)  # rows ACC to EXIT
                 self._objs[slot] = veh
                 self._exiters = self._exiters or exits
                 new.append((s * n_lanes + lane_ids.index(veh.lane), slot))
