@@ -508,7 +508,6 @@ class Episode:
         self.completed_start = 0
         self.tally = SafetyTally()
         self.speed_acc = [0.0, 0.0, 0]  # speed sum, |accel| sum, vehicle-steps
-        self.past_warmup = False  # whether the last scanned step counts
         self.step_ttcs: list[float] = []  # closing-pair TTCs, last control step
         self.jerk_sq_sum, self.jerk_samples = 0.0, 0
         self.ttc_reward = self.acc_reward = 0.0
@@ -552,15 +551,15 @@ class Episode:
         """The danger scan after one physics step; a `control` step, the
         interval's last, keeps its closing pairs' TTCs for `score`."""
         world = self.world
-        self.past_warmup = world.time >= self.scenario.run.warmup_duration
-        self.step_ttcs = _scan_world(world, self.past_warmup, self.speed_acc,
-                                     self.flagged, self.ttc_star, control)
+        self.step_ttcs = _scan_world(
+            world, world.time >= self.scenario.run.warmup_duration,
+            self.speed_acc, self.flagged, self.ttc_star, control)
 
     def score(self) -> None:
         """Score the interval that the last `scan` closed."""
         world, run, weights = self.world, self.scenario.run, self.scenario.agents
         interval, ttc_star = run.control_interval, self.ttc_star
-        past_warmup, flagged = self.past_warmup, self.flagged
+        past_warmup, flagged = world.time >= run.warmup_duration, self.flagged
         self.ticks += 1
         self.done = self.ticks == self.n_ticks
 

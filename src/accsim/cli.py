@@ -56,6 +56,18 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _sweep_to_files(scenario, sweep: SweepSpec, args, stem: str) -> list[dict]:
+    """Run `sweep`, with progress under ``--verbose``, write
+    ``<stem>_episodes.csv`` and ``<stem>_summary.csv`` under ``--out``, and
+    return the summary."""
+    rows = run_sweep(scenario, sweep,
+                     progress=_progress if args.verbose else None)
+    out = Path(args.out)
+    write_sweep_csv(out / f"{stem}_episodes.csv", scenario, sweep, rows)
+    write_summary_csv(out / f"{stem}_summary.csv", scenario, sweep, rows)
+    return summarize(rows)
+
+
 def cmd_train(args) -> int:
     scenario = _load(args.config)
     result = harness.train(
@@ -82,12 +94,7 @@ def cmd_motivation(args) -> int:
     sweep = SweepSpec(parameter="ttc_star_fixed", values=_parse_values(args.values),
                       episodes=args.episodes, base_seed=args.seed,
                       systems=(PolicySpec("scripted"),))
-    rows = run_sweep(scenario, sweep,
-                     progress=_progress if args.verbose else None)
-    out = Path(args.out)
-    write_sweep_csv(out / "motivation_episodes.csv", scenario, sweep, rows)
-    write_summary_csv(out / "motivation_summary.csv", scenario, sweep, rows)
-    summary = summarize(rows)
+    summary = _sweep_to_files(scenario, sweep, args, "motivation")
     values = [s["value"] for s in summary]
     rho_nc = spearman(values, [s["nc_mean"] for s in summary])
     rho_v = spearman(values, [s["speed_mean"] for s in summary])
@@ -103,14 +110,8 @@ def cmd_sweep(args) -> int:
     sweep = SweepSpec(parameter=args.parameter, values=_parse_values(args.values),
                       episodes=args.episodes, base_seed=args.seed,
                       systems=systems)
-    rows = run_sweep(scenario, sweep,
-                     progress=_progress if args.verbose else None)
-    out = Path(args.out)
-    write_sweep_csv(out / f"sweep_{args.parameter}_episodes.csv",
-                    scenario, sweep, rows)
-    write_summary_csv(out / f"sweep_{args.parameter}_summary.csv",
-                      scenario, sweep, rows)
-    for s in summarize(rows):
+    for s in _sweep_to_files(scenario, sweep, args,
+                             f"sweep_{args.parameter}"):
         print(f"{s['system']} {args.parameter}={s['value']:g}: "
               f"nc={s['nc_mean']:.1f}±{s['nc_std']:.1f} "
               f"speed={s['speed_mean']:.2f}±{s['speed_std']:.2f}")
@@ -156,12 +157,7 @@ def cmd_ablate_ttc(args) -> int:
                       values=(scenario.demand.penetration_rate,),
                       episodes=args.episodes, base_seed=args.seed,
                       systems=(saint, fixed, PolicySpec("base")))
-    rows = run_sweep(scenario, sweep,
-                     progress=_progress if args.verbose else None)
-    out = Path(args.out)
-    write_sweep_csv(out / "ablation_episodes.csv", scenario, sweep, rows)
-    write_summary_csv(out / "ablation_summary.csv", scenario, sweep, rows)
-    for s in summarize(rows):
+    for s in _sweep_to_files(scenario, sweep, args, "ablation"):
         print(f"{s['system']}: nc={s['nc_mean']:.1f} "
               f"speed={s['speed_mean']:.2f} delay={s['delay_mean']:.1f}")
     return 0
@@ -184,6 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
         if episodes is not None:
             p.add_argument("--episodes", type=int, default=episodes)
             p.add_argument("--verbose", action="store_true")
+
+    def policy_options(p):
+        """``--checkpoint-dir`` and ``--fixed-ttc-star``, which
+        `_policy_spec` reads."""
+        p.add_argument("--checkpoint-dir", default=None)
+        p.add_argument("--fixed-ttc-star", type=float, default=4.0)
 
     p = sub.add_parser("train", help="train the SAINT or fixed-threshold stack")
     common(p, episodes=300)
@@ -209,15 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True)
     p.add_argument("--systems", default="base",
                    help="comma list from {saint, fixed-ttc, base, scripted}")
-    p.add_argument("--checkpoint-dir", default=None)
-    p.add_argument("--fixed-ttc-star", type=float, default=4.0)
+    policy_options(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("latency", help="measure per-decision latency")
     common(p)
     p.add_argument("--system", choices=("saint", "fixed-ttc"), default="saint")
-    p.add_argument("--checkpoint-dir", default=None)
-    p.add_argument("--fixed-ttc-star", type=float, default=4.0)
+    policy_options(p)
     p.add_argument("--min-decisions", type=int, default=1000)
     p.set_defaults(func=cmd_latency)
 
@@ -226,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system",
                    choices=("saint", "fixed-ttc", "base", "scripted"),
                    default="base")
-    p.add_argument("--checkpoint-dir", default=None)
-    p.add_argument("--fixed-ttc-star", type=float, default=4.0)
+    policy_options(p)
     p.set_defaults(func=cmd_spacetime)
 
     p = sub.add_parser("ablate-ttc",

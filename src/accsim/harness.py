@@ -26,6 +26,7 @@ from .agents import (
     EpisodeResult,
     NoAccPolicy,
     ScriptedGapPolicy,
+    _sum_left,
     make_adaptive_policy,
     make_fixed_ttc_policy,
     run_episode,
@@ -339,6 +340,15 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
 # ---- aggregation -------------------------------------------------------
 
 
+def _pstdev(values: Sequence[float]) -> float:
+    """Population standard deviation: the square root of the mean squared
+    deviation about `statistics.fmean`, summed left to right, so every
+    interpreter gives the same value (`statistics.pstdev` does not)."""
+    mean = statistics.fmean(values)
+    return math.sqrt(_sum_left((x - mean) * (x - mean) for x in values)
+                     / len(values))
+
+
 def summarize(rows: Sequence[SweepRow]) -> list[dict]:
     """Mean +/- std per (system, value) over seeds."""
     groups: dict[tuple, list[SweepRow]] = {}
@@ -354,9 +364,9 @@ def summarize(rows: Sequence[SweepRow]) -> list[dict]:
             "value": value,
             "episodes": len(grp),
             "nc_mean": statistics.fmean(ncs),
-            "nc_std": statistics.pstdev(ncs) if len(ncs) > 1 else 0.0,
+            "nc_std": _pstdev(ncs),
             "speed_mean": statistics.fmean(speeds),
-            "speed_std": statistics.pstdev(speeds) if len(speeds) > 1 else 0.0,
+            "speed_std": _pstdev(speeds),
             "delay_mean": statistics.fmean(delays),
         })
     return out

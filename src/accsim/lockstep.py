@@ -151,14 +151,19 @@ class LockstepWorld(World):
     everything but its vehicles' ``x``, ``v``, ``a`` and ``danger_latch``,
     which the arrays hold.  The batch holds no vehicle in its own `lanes`:
     `vehicle_count` counts every segment's, and the segments' lane lists
-    hold the `Vehicle` objects in the order of the rows.  An object's ``x``
-    and ``v`` are current only where scalar code reads them: a lane's rear
-    vehicle before a spawn reads it, every vehicle of a segment before that
-    segment's first lane-change decision of a pass, and, through
-    `sync_vehicles`, which writes ``a`` too, every vehicle before the
-    episodes score and decide.  Each segment's commanded gap and danger
-    threshold are its ``default_gap_cmd`` and ``default_danger_ttc``, taken
-    by `read_commands`: every actuated vehicle carries those values.
+    hold the `Vehicle` objects in the order of the rows.
+
+    Objects: `sync_vehicles` alone writes their ``x``, ``v`` and ``a``: a
+    segment's before its first lane-change decision of a pass, and every
+    one before the episodes score and decide.  A spawn reads its lane's
+    rear vehicle, whose ``x`` and ``v`` it writes first.  Rows: the lane
+    lists that a lane change, a crash or a re-sort changed reach the rows
+    through `_rebuild_order`; spawns splice rows in and despawns mask them
+    out, as rebuilding the order measured slower there.
+
+    Each segment's commanded gap and danger threshold are its
+    ``default_gap_cmd`` and ``default_danger_ttc``, taken by
+    `read_commands`: every actuated vehicle carries those values.
     """
 
     def __init__(self, segments: list[World]):
@@ -211,11 +216,12 @@ class LockstepWorld(World):
             self._aim[s] = (ACC_MIN_STANDOFF
                             + ACC_STANDOFF_PER_TTC * seg.default_danger_ttc)
 
-    def sync_vehicles(self) -> None:
-        """Write every vehicle's ``x``, ``v`` and ``a`` to its object."""
+    def sync_vehicles(self, rows: slice = slice(None)) -> None:
+        """Copy the ``x``, ``v`` and ``a`` of `rows` into their `Vehicle`s."""
         x, v, a, _ = self._columns()
-        for veh, x, v, a in zip(self._objs[self._order].tolist(),
-                                x.tolist(), v.tolist(), a.tolist()):
+        for veh, x, v, a in zip(self._objs[self._order[rows]].tolist(),
+                                x[rows].tolist(), v[rows].tolist(),
+                                a[rows].tolist()):
             veh.x = x
             veh.v = v
             veh.a = a
@@ -419,14 +425,13 @@ class LockstepWorld(World):
         The scalar decision runs for the filter's candidates in walk
         order; every other vehicle would stay.  A segment's first change
         makes the filter stale there, so its own `World._apply_lane_changes`
-        resumes the walk at that vehicle.  A segment's objects get their
-        ``x`` and ``v`` before its first decision.
+        resumes the walk at that vehicle.  `sync_vehicles` brings a
+        segment's objects up to date before its first decision.
         """
         candidates = self._lane_change_candidates()
         if not len(candidates):
             return
         order, objs, n_lanes = self._order, self._objs, self._n_lanes
-        x, v, _, _ = self._columns()
         rows = self._structure()
         groups = rows.group[candidates]
         start = rows.group_start.tolist()
@@ -437,11 +442,8 @@ class LockstepWorld(World):
                 continue  # its walk is done
             world = self.segments[s]
             if s != synced:
-                lo, hi = start[s * n_lanes], start[(s + 1) * n_lanes]
-                for veh, vx, vv in zip(objs[order[lo:hi]].tolist(),
-                                       x[lo:hi].tolist(), v[lo:hi].tolist()):
-                    veh.x = vx
-                    veh.v = vv
+                self.sync_vehicles(slice(start[s * n_lanes],
+                                         start[(s + 1) * n_lanes]))
                 synced = s
             leader = objs[order[r - 1]] if r > start[g] else None
             if world.lane_change_decision(objs[order[r]], leader) is not None:
@@ -563,16 +565,14 @@ class LockstepWorld(World):
         behind = x[1:] > x[:-1]  # row j + 1 ahead of row j
         behind[rows.lane_starts] = False
         if np.count_nonzero(behind):  # re-sort those lanes, stably
-            order = order.copy()
-            starts = rows.group_start
+            starts, resorted = rows.group_start, set()
             for g in np.unique(rows.group[1:][behind]).tolist():
-                lo, hi = starts[g], starts[g + 1]
-                perm = np.argsort(-x[lo:hi], kind="stable")
-                order[lo:hi] = order[lo:hi][perm]
+                perm = np.argsort(-x[starts[g]:starts[g + 1]], kind="stable")
                 s, li = divmod(g, self._n_lanes)
                 lane = self.segments[s].lanes[self.lane_ids[li]]
                 lane[:] = [lane[k] for k in perm.tolist()]
-            self._set_order(order, self._lane_len)
+                resorted.add(s)
+            self._rebuild_order(resorted)
 
     # ---- events and despawns ------------------------------------------
 
@@ -717,7 +717,6 @@ def _scan(world: LockstepWorld, episodes: list[Episode],
                             acc[1] += accel_sums[k][s]
                             acc[2] += counts[k][s]
     for ep, ttcs in zip(episodes, step_ttcs):
-        ep.past_warmup = past[-1]
         ep.step_ttcs = ttcs
 
 

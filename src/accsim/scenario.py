@@ -276,16 +276,11 @@ def spawn_schedule(
         if rate_per_hour <= 0:
             return
         mean_headway = 3600.0 / rate_per_hour
-        if demand.arrival_process == "uniform_headway":
-            t = 0.5 * mean_headway
-            while t < duration:
-                events.append(SpawnEvent(t, lane_of(), rng.random() < demand.penetration_rate, route))
-                t += mean_headway
-        else:
-            t = rng.expovariate(1.0 / mean_headway)
-            while t < duration:
-                events.append(SpawnEvent(t, lane_of(), rng.random() < demand.penetration_rate, route))
-                t += rng.expovariate(1.0 / mean_headway)
+        poisson = demand.arrival_process != "uniform_headway"
+        t = rng.expovariate(1.0 / mean_headway) if poisson else 0.5 * mean_headway
+        while t < duration:
+            events.append(SpawnEvent(t, lane_of(), rng.random() < demand.penetration_rate, route))
+            t += rng.expovariate(1.0 / mean_headway) if poisson else mean_headway
 
     for lane in range(geometry.lane_count):
         stream(demand.mainline_flow, lambda lane=lane: lane, ROUTE_THROUGH)

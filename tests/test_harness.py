@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -230,6 +231,21 @@ def test_summarize_means(small_sweep):
     ncs = [r.result.metrics.near_collisions for r in rows
            if r.system == "base"]
     assert base["nc_mean"] == pytest.approx(sum(ncs) / len(ncs))
+
+
+def test_summarize_std_is_the_same_on_every_interpreter():
+    # statistics.pstdev gives 3.90816013313249 on Python 3.10 and
+    # 3.9081601331324904 on 3.11; the left-to-right formula gives the
+    # former on 3.10 to 3.13
+    speeds = [20.279366, 30.888514, 27.233906, 28.349827, 22.416781]
+    rows = [harness.SweepRow("base", 0.8, SimpleNamespace(
+        metrics=SimpleNamespace(near_collisions=nc, mean_speed=speed,
+                                mean_delay=40.0)))
+        for nc, speed in zip((3, 5, 8, 5, 4), speeds)]
+    (summary,) = summarize(rows)
+    assert repr(summary["speed_std"]) == "3.90816013313249"
+    assert summary["nc_std"] == math.sqrt(14.0 / 5)  # deviations -2, 0, 3, 0, -1
+    assert summarize(rows[:1])[0]["speed_std"] == 0.0
 
 
 def test_sweep_progress_names_position_key_and_eta(monkeypatch):

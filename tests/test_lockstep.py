@@ -11,9 +11,11 @@ branch, and every pass checks that the batch's lane-change filter keeps
 each vehicle the scalar decision would move.  At penetration 0 every
 equipped system moves as `base` does, in either engine.  At twice
 `onramp`'s demand both engines conserve vehicles, keep every state
-feature finite and no speed above `FREE_FLOW_SPEED`.
+feature finite and no speed above `FREE_FLOW_SPEED`.  A lane that a step
+leaves out of order is re-sorted alike in both engines.
 """
 
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -23,9 +25,9 @@ import pytest
 from accsim import harness, simcore
 from accsim.agents import Episode, encode_traffic_state, run_episode
 from accsim.harness import PolicySpec, SweepSpec, apply_sweep_value, run_sweep
-from accsim.lockstep import LockstepWorld, run_lockstep
+from accsim.lockstep import V, X, LockstepWorld, run_lockstep
 from accsim.metrics import MetricsError
-from accsim.scenario import RAMP_LANE, ROUTE_EXIT, load_builtin
+from accsim.scenario import RAMP_LANE, ROUTE_EXIT, load_builtin, spawn_schedule
 from accsim.simcore import EVENT_ACTUAL_COLLISION, FREE_FLOW_SPEED
 
 SYSTEMS = (PolicySpec("base"), PolicySpec("scripted", ttc_star=4.0),
@@ -340,3 +342,47 @@ def test_batch_rejects_mixed_run_configurations():
                 for s in (sc, other)]
     with pytest.raises(ValueError, match="one run configuration"):
         LockstepWorld([ep.world for ep in episodes])
+
+
+def test_out_of_order_lane_is_resorted_as_in_scalar_world():
+    # at 0.5 s a follower 0.5 m behind a stopped leader's rear bumper, at
+    # FREE_FLOW_SPEED, passes it within one step, so the lane must be
+    # re-sorted; every vehicle is at least 4 m long, so at 0.1 s no
+    # follower can gain that much in a step
+    sc = load_builtin("desk")
+    run = replace(sc.run, physics_timestep=0.5)
+
+    def world():
+        schedule = spawn_schedule(sc.demand, sc.geometry,
+                                  run.episode_duration, random.Random(7))
+        return simcore.World(sc.geometry, run, schedule, 7)
+
+    def state(world):  # in lane-list order, so it compares the lists too
+        return [(veh.id, veh.lane, veh.x, veh.v, veh.a)
+                for veh in world.vehicles()]
+
+    scalar, batch = world(), LockstepWorld([world()])
+    segment = batch.segments[0]
+    for _ in range(20):
+        scalar.step()
+        batch.step()
+    leader, follower = scalar.lanes[1][:2]  # lane 1 changes only rightwards
+    follower.x = leader.x - leader.length - 0.5
+    follower.v = FREE_FLOW_SPEED
+    leader.v = 0.0
+    # a batch of one: a vehicle's slot is its id
+    batch._f[X, follower.id] = follower.x
+    batch._f[V, follower.id] = FREE_FLOW_SPEED
+    batch._f[V, leader.id] = 0.0
+    batch._cols = None
+    scalar.step()
+    batch.step()
+    for lanes in (scalar.lanes, segment.lanes):
+        ids = [veh.id for veh in lanes[1]]
+        assert ids.index(follower.id) < ids.index(leader.id), ids
+    for _ in range(30):
+        batch.sync_vehicles()
+        assert state(segment) == state(scalar), scalar.time
+        assert segment.events == scalar.events, scalar.time
+        scalar.step()
+        batch.step()
