@@ -467,8 +467,9 @@ class Episode:
     learn from; the last one does not act.  `advance()` simulates the next
     interval, running `scan` after each physics step and `score` at its
     end, which sets `done` on the last tick, and `finish()` returns the
-    result.  A lockstep batch (`accsim.lockstep`) steps the world and scans
-    for many episodes at once, then calls `score` and `decide` on each.  In
+    result; `play()` runs every decision and interval before that.  A
+    lockstep batch (`accsim.lockstep`) steps the world and scans for many
+    episodes at once, then calls `score` and `decide` on each.  In
     ``train`` mode actions are epsilon-greedy and the policy's `acc_agent`
     and `ttc_agent`, where present, learn and end the episode; in ``eval``
     mode actions are greedy and no weights change.
@@ -537,6 +538,13 @@ class Episode:
                 action, self.ttc_star = policy.ttc_action(state, train)
                 self.pending_ttc = (state, action)
                 _broadcast_ttc(world, self.ttc_star)
+
+    def play(self) -> None:
+        """Decide, then advance and decide until `done`."""
+        self.decide()
+        while not self.done:
+            self.advance()
+            self.decide()
 
     def advance(self) -> None:
         """Simulate one control interval and score it."""
@@ -650,8 +658,5 @@ def run_episode(scenario: Scenario, policy: ControlPolicy, *,
     episode = Episode(scenario, policy, mode=mode, seed=seed,
                       train_acc=train_acc)
     episode.world.trajectory_sink = trajectory_sink
-    episode.decide()
-    while not episode.done:
-        episode.advance()
-        episode.decide()
+    episode.play()
     return episode.finish()

@@ -21,7 +21,6 @@ from .harness import (
     config_hash,
     run_sweep,
     spearman,
-    summarize,
     write_csv,
     write_summary_csv,
     write_sweep_csv,
@@ -64,8 +63,8 @@ def _sweep_to_files(scenario, sweep: SweepSpec, args, stem: str) -> list[dict]:
                      progress=_progress if args.verbose else None)
     out = Path(args.out)
     write_sweep_csv(out / f"{stem}_episodes.csv", scenario, sweep, rows)
-    write_summary_csv(out / f"{stem}_summary.csv", scenario, sweep, rows)
-    return summarize(rows)
+    return write_summary_csv(out / f"{stem}_summary.csv", scenario, sweep,
+                             rows)
 
 
 def cmd_train(args) -> int:

@@ -14,7 +14,6 @@ import math
 import os
 import statistics
 import time
-from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -188,44 +187,27 @@ class SweepRow:
     result: EpisodeResult
 
 
-def _task_error(key: tuple, exc: MetricsError) -> MetricsError:
-    label, value, seed = key
-    return MetricsError(f"sweep task {label} {value:g} seed {seed}: {exc}")
-
-
-def _run_task(task) -> tuple:
-    """Evaluate one (system, point, seed) episode."""
-    key, scenario, spec, seed = task
-    policy = spec.build(scenario)
-    try:
-        result = run_episode(scenario, policy, mode="eval", seed=seed)
-    except MetricsError as exc:
-        raise _task_error(key, exc) from None
-    return key, result
-
-
-def _run_batch(tasks: list) -> list[tuple]:
-    """Evaluate tasks of one geometry and run configuration in lockstep;
-    each result equals `_run_task`'s."""
-    from .lockstep import run_lockstep
-
+def _run_chunk(tasks: list) -> list[tuple]:
+    """Worker entry: (key, result) for each task of one chunk, whose tasks
+    share geometry and run configuration.  A chunk of one plays its
+    `Episode` alone; a larger one steps in lockstep."""
     episodes = [Episode(scenario, spec.build(scenario), mode="eval",
                         seed=seed) for _, scenario, spec, seed in tasks]
-    run_lockstep(episodes)
+    if len(episodes) == 1:
+        episodes[0].play()
+    else:
+        from .lockstep import run_lockstep
+
+        run_lockstep(episodes)
     out = []
     for (key, *_), episode in zip(tasks, episodes):
         try:
             out.append((key, episode.finish()))
         except MetricsError as exc:
-            raise _task_error(key, exc) from None
+            label, value, seed = key
+            raise MetricsError(
+                f"sweep task {label} {value:g} seed {seed}: {exc}") from None
     return out
-
-
-def _run_chunk(tasks: list) -> list[tuple]:
-    """Worker entry: (key, result) for each task of one chunk."""
-    if len(tasks) == 1:
-        return [_run_task(tasks[0])]
-    return _run_batch(tasks)
 
 
 def _chunks(tasks: list, workers: int) -> list[list]:
@@ -257,9 +239,7 @@ def _system_label(spec: PolicySpec) -> str:
 
 def _at_penetration(result: EpisodeResult, value: float) -> EpisodeResult:
     """A copy of `result` that records penetration `value`."""
-    out = deepcopy(result)
-    out.metrics.penetration = value
-    return out
+    return replace(result, metrics=replace(result.metrics, penetration=value))
 
 
 def run_sweep(scenario: Scenario, sweep: SweepSpec,
@@ -275,9 +255,9 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec,
     threshold, since its values are the systems' own thresholds.
     Tasks that share geometry and run configuration are split into one
     chunk per worker, and each worker steps its chunk's episodes in
-    lockstep (`accsim.lockstep`); a chunk of one runs `run_episode`.  Either
-    way each row equals its episode run on its own.  `progress` gets one
-    message per row, as each chunk finishes.
+    lockstep (`accsim.lockstep`); a chunk of one plays its `Episode` alone.
+    Either way each row equals its episode run on its own.  `progress` gets
+    one message per row, as each chunk finishes.
     """
     if not sweep.values:
         raise HarnessError("a sweep needs at least one value")
@@ -412,34 +392,37 @@ def write_csv(path, header_comments: list[str], columns: Sequence[str],
         writer.writerows(rows)
 
 
-def write_sweep_csv(path, scenario: Scenario, sweep: SweepSpec,
-                    rows: Sequence[SweepRow]) -> None:
-    comments = [
+def _sweep_comments(scenario: Scenario, sweep: SweepSpec) -> list[str]:
+    """The comment lines that open both CSV files of a sweep."""
+    return [
         f"config={config_hash(scenario)}",
         f"seeds={','.join(str(s) for s in sweep.seeds())}",
         f"parameter={sweep.parameter}",
     ]
+
+
+def write_sweep_csv(path, scenario: Scenario, sweep: SweepSpec,
+                    rows: Sequence[SweepRow]) -> None:
     columns = ("system", "parameter", "value") + EPISODE_CSV_COLUMNS
     data = [[r.system, sweep.parameter, r.value] + r.result.metrics.csv_row()
             for r in rows]
-    write_csv(path, comments, columns, data)
+    write_csv(path, _sweep_comments(scenario, sweep), columns, data)
 
 
 def write_summary_csv(path, scenario: Scenario, sweep: SweepSpec,
-                      rows: Sequence[SweepRow]) -> None:
-    comments = [
-        f"config={config_hash(scenario)}",
-        f"seeds={','.join(str(s) for s in sweep.seeds())}",
-        f"parameter={sweep.parameter}",
-        "aggregates are mean and population std over seeds",
-    ]
+                      rows: Sequence[SweepRow]) -> list[dict]:
+    """Write `summarize(rows)` and return it."""
+    comments = _sweep_comments(scenario, sweep) + [
+        "aggregates are mean and population std over seeds"]
     columns = ("system", "value", "episodes", "nc_mean", "nc_std",
                "speed_mean", "speed_std", "delay_mean")
+    summary = summarize(rows)
     data = [[s["system"], s["value"], s["episodes"],
              f"{s['nc_mean']:.6f}", f"{s['nc_std']:.6f}",
              f"{s['speed_mean']:.6f}", f"{s['speed_std']:.6f}",
-             f"{s['delay_mean']:.6f}"] for s in summarize(rows)]
+             f"{s['delay_mean']:.6f}"] for s in summary]
     write_csv(path, comments, columns, data)
+    return summary
 
 
 # ---- training ----------------------------------------------------------

@@ -100,9 +100,9 @@ def test_chunks_keep_a_small_group_one_batch_per_worker():
 # ---- sweep parameter application ---------------------------------------
 
 
-def _no_episode(task):
-    """Stands in for `harness._run_task` where no episode may run."""
-    raise AssertionError(f"episode ran: {task[0]}")
+def _no_episode(tasks):
+    """Stands in for `harness._run_chunk` where no episode may run."""
+    raise AssertionError(f"episode ran: {tasks[0][0]}")
 
 
 def test_apply_sweep_values():
@@ -123,7 +123,7 @@ def test_apply_sweep_values():
 def test_merge_flow_sweep_needs_an_on_ramp(monkeypatch, name):
     # off-ramp ramp_flow is exit demand; without a ramp nothing reads it
     monkeypatch.setenv("ACCSIM_WORKERS", "1")
-    monkeypatch.setattr(harness, "_run_task", _no_episode)
+    monkeypatch.setattr(harness, "_run_chunk", _no_episode)
     sweep = SweepSpec(parameter="merge_flow", values=(0.0, 900.0),
                       episodes=1, base_seed=5)
     with pytest.raises(HarnessError, match="on-ramp"):
@@ -285,19 +285,14 @@ def test_base_penetration_rows_equal_independent_episodes(monkeypatch, name):
 
 def test_penetration_sweep_runs_base_once_per_seed(monkeypatch):
     monkeypatch.setenv("ACCSIM_WORKERS", "1")
-    ran = []  # the key of every task handed to either runner
-    run_task, run_batch = harness._run_task, harness._run_batch
+    ran = []  # the key of every task handed to the chunk runner
+    run_chunk = harness._run_chunk
 
-    def counted_task(task):
-        ran.append(task[0])
-        return run_task(task)
-
-    def counted_batch(tasks):
+    def counted(tasks):
         ran.extend(task[0] for task in tasks)
-        return run_batch(tasks)
+        return run_chunk(tasks)
 
-    monkeypatch.setattr(harness, "_run_task", counted_task)
-    monkeypatch.setattr(harness, "_run_batch", counted_batch)
+    monkeypatch.setattr(harness, "_run_chunk", counted)
     sweep = SweepSpec(parameter="penetration", values=(0.4, 0.8), episodes=2,
                       base_seed=50,
                       systems=(PolicySpec("base"), PolicySpec("scripted"),
@@ -334,7 +329,7 @@ def test_sweep_rejects_repeated_label_before_any_episode(monkeypatch):
     # collapse into one row
     monkeypatch.setenv("ACCSIM_WORKERS", "1")
     tasks = []
-    monkeypatch.setattr(harness, "_run_task", tasks.append)
+    monkeypatch.setattr(harness, "_run_chunk", tasks.append)
     sweep = SweepSpec(parameter="penetration", values=(0.8,), episodes=1,
                       base_seed=50,
                       systems=(PolicySpec("saint"),
@@ -347,7 +342,7 @@ def test_sweep_rejects_repeated_label_before_any_episode(monkeypatch):
 def test_sweep_rejects_repeated_value_before_any_episode(monkeypatch):
     monkeypatch.setenv("ACCSIM_WORKERS", "1")
     tasks = []
-    monkeypatch.setattr(harness, "_run_task", tasks.append)
+    monkeypatch.setattr(harness, "_run_chunk", tasks.append)
     sweep = SweepSpec(parameter="penetration", values=(0.8, 0.8), episodes=1,
                       base_seed=50, systems=(PolicySpec("base"),))
     with pytest.raises(HarnessError, match="sweep value 0.8 is listed twice"):
@@ -376,7 +371,7 @@ def test_ttc_star_fixed_sweep_rejects_system_without_fixed_threshold(
     # saint and base ignore ttc_star: every value would be the same episode
     monkeypatch.setenv("ACCSIM_WORKERS", "1")
     tasks = []
-    monkeypatch.setattr(harness, "_run_task", tasks.append)
+    monkeypatch.setattr(harness, "_run_chunk", tasks.append)
     sweep = SweepSpec(parameter="ttc_star_fixed", values=(2.0, 6.0),
                       episodes=1, base_seed=5,
                       systems=(PolicySpec("scripted"), PolicySpec(kind)))
@@ -389,7 +384,7 @@ def test_ttc_star_fixed_sweep_rejects_system_without_fixed_threshold(
 def test_sweep_rejects_missing_checkpoint_before_any_episode(
         monkeypatch, tmp_path, parameter):
     monkeypatch.setenv("ACCSIM_WORKERS", "1")
-    monkeypatch.setattr(harness, "_run_task", _no_episode)
+    monkeypatch.setattr(harness, "_run_chunk", _no_episode)
     sweep = SweepSpec(parameter=parameter, values=(1.0,), episodes=1,
                       base_seed=5,
                       systems=(PolicySpec("base"),
@@ -510,18 +505,21 @@ def test_train_many_matches_serial_train_in_seed_order(monkeypatch):
             [e.metrics for e in want.episodes]
 
 
-@pytest.mark.parametrize("values", [(0.8,), (0.4, 0.8)],
-                         ids=["one-value", "two-values"])
+@pytest.mark.parametrize("values,episodes",
+                         [((0.8,), 2), ((0.4, 0.8), 2), ((0.8,), 1)],
+                         ids=["one-value", "two-values", "chunks-of-one"])
 def test_sweep_rows_equal_with_one_and_two_workers(monkeypatch, small_sweep,
-                                                   values):
+                                                   values, episodes):
+    # with one episode two workers get a chunk of one each, which plays
+    # its episode alone; one worker steps both in one lockstep batch
     sc, sweep, _ = small_sweep
-    sweep = replace(sweep, values=values)
+    sweep = replace(sweep, values=values, episodes=episodes)
     runs = []
     for n in ("1", "2"):
         monkeypatch.setenv("ACCSIM_WORKERS", n)
         runs.append([(r.system, r.value, r.result.metrics)
                      for r in run_sweep(sc, sweep)])
-    assert len(runs[0]) == 4 * len(values)
+    assert len(runs[0]) == 2 * episodes * len(values)
     assert runs[0] == runs[1]
 
 

@@ -285,13 +285,13 @@ def test_batched_sweep_rows_equal_scalar_episodes(monkeypatch, name,
                                                   duration):
     monkeypatch.setenv("ACCSIM_WORKERS", "1")
     batches = []
-    run_batch = harness._run_batch
+    run_chunk = harness._run_chunk
 
     def counted(tasks):
         batches.append(len(tasks))
-        return run_batch(tasks)
+        return run_chunk(tasks)
 
-    monkeypatch.setattr(harness, "_run_batch", counted)
+    monkeypatch.setattr(harness, "_run_chunk", counted)
     sc = short(name, duration)
     sweep = SweepSpec(parameter="penetration", values=(0.4, 0.8), episodes=2,
                       base_seed=30,
