@@ -114,7 +114,8 @@ def _relax(urgency):
 
 class _Rows:
     """Each row's group, ``segment * n_lanes + lane index``, and where each
-    group's rows start, in one order.
+    group's rows start, in one order: a row's segment is ``group //
+    n_lanes``, and segment ``s``'s rows start at ``group_start[s * n_lanes]``.
 
     Pair ``j`` is row ``j`` followed by row ``j + 1``; `lane_starts` lists
     the pairs whose second row starts a lane, so it has no leader.  `ramp`
@@ -153,11 +154,12 @@ class LockstepWorld(World):
     `vehicle_count` counts every segment's, and the segments' lane lists
     hold the `Vehicle` objects in the order of the rows.
 
-    Objects: `sync_vehicles` alone writes their ``x``, ``v`` and ``a``: a
-    segment's before its first lane-change decision of a pass, and every
-    one before the episodes score and decide.  A spawn reads its lane's
-    rear vehicle, whose ``x`` and ``v`` it writes first.  Rows: the lane
-    lists that a lane change, a crash or a re-sort changed reach the rows
+    Objects: `sync_vehicles` alone writes their ``x``, ``v`` and ``a``, for
+    every row at once: before a pass's first lane-change decision, and
+    before the episodes score and decide.  A spawn reads its lane's rear
+    vehicle, whose ``x`` and ``v`` it writes first.  Rows: their layout,
+    each row's segment and lane included, is a `_Rows`.  The lane lists
+    that a lane change, a crash or a re-sort changed reach the rows
     through `_rebuild_order`; spawns splice rows in and despawns mask them
     out, as rebuilding the order measured slower there.
 
@@ -182,8 +184,6 @@ class LockstepWorld(World):
         sizes = [len(seg._schedule) for seg in segments]
         self._base = np.cumsum([0] + sizes[:-1]).tolist()
         self._slot_base = np.array(self._base, dtype=np.intp)
-        self._seg_ids = np.arange(n_seg, dtype=np.int32)
-        self._slot_seg = self._seg_ids.repeat(sizes)
         self._f = np.zeros((NOISE + 1, sum(sizes)))
         self._b = np.zeros((EXIT + 1, sum(sizes)), dtype=bool)
         self._objs = np.empty(sum(sizes), dtype=object)
@@ -216,12 +216,11 @@ class LockstepWorld(World):
             self._aim[s] = (ACC_MIN_STANDOFF
                             + ACC_STANDOFF_PER_TTC * seg.default_danger_ttc)
 
-    def sync_vehicles(self, rows: slice = slice(None)) -> None:
-        """Copy the ``x``, ``v`` and ``a`` of `rows` into their `Vehicle`s."""
+    def sync_vehicles(self) -> None:
+        """Copy every row's ``x``, ``v`` and ``a`` into its `Vehicle`."""
         x, v, a, _ = self._columns()
-        for veh, x, v, a in zip(self._objs[self._order[rows]].tolist(),
-                                x[rows].tolist(), v[rows].tolist(),
-                                a[rows].tolist()):
+        for veh, x, v, a in zip(self._objs[self._order].tolist(),
+                                x.tolist(), v.tolist(), a.tolist()):
             veh.x = x
             veh.v = v
             veh.a = a
@@ -250,8 +249,7 @@ class LockstepWorld(World):
         """Rows from the lane lists of the segments in `changed`, after
         those lists changed; the other segments keep theirs."""
         n_lanes = self._n_lanes
-        bounds = [0] + np.cumsum(
-            self._lane_len.reshape(-1, n_lanes).sum(axis=1)).tolist()
+        bounds = self._structure().group_start[::n_lanes].tolist()
         parts, lane_len = [], self._lane_len.copy()
         for s, (base, seg) in enumerate(zip(self._base, self.segments)):
             if s not in changed:
@@ -425,26 +423,23 @@ class LockstepWorld(World):
         The scalar decision runs for the filter's candidates in walk
         order; every other vehicle would stay.  A segment's first change
         makes the filter stale there, so its own `World._apply_lane_changes`
-        resumes the walk at that vehicle.  `sync_vehicles` brings a
-        segment's objects up to date before its first decision.
+        resumes the walk at that vehicle.  `sync_vehicles` brings every
+        object up to date before the first decision.
         """
         candidates = self._lane_change_candidates()
         if not len(candidates):
             return
+        self.sync_vehicles()
         order, objs, n_lanes = self._order, self._objs, self._n_lanes
         rows = self._structure()
         groups = rows.group[candidates]
         start = rows.group_start.tolist()
-        changed, synced = [], -1
+        changed = []
         for r, g in zip(candidates.tolist(), groups.tolist()):
             s, li = divmod(g, n_lanes)
             if changed and changed[-1] == s:
                 continue  # its walk is done
             world = self.segments[s]
-            if s != synced:
-                self.sync_vehicles(slice(start[s * n_lanes],
-                                         start[(s + 1) * n_lanes]))
-                synced = s
             leader = objs[order[r - 1]] if r > start[g] else None
             if world.lane_change_decision(objs[order[r]], leader) is not None:
                 world._apply_lane_changes(li, r - start[g], leader)
@@ -469,7 +464,7 @@ class LockstepWorld(World):
         first = rows.first
         x, v, _, length = self._columns()
         tau, noise = self._f[TAU:].take(order, axis=1)
-        seg = self._slot_seg[order]
+        seg = rows.group // self._n_lanes
         gap_cmd, aim = self._gap_cmd[seg], self._aim[seg]
         danger_ttc = self._danger_ttc[seg]
         acc, draws, latch = self._b[:EXIT].take(order, axis=1)
@@ -583,10 +578,11 @@ class LockstepWorld(World):
         # segment s's hits are hits[ends[s - 1]:ends[s]]
         hits, ends = [], [0] * len(self.segments)
         if len(order) > 1:
+            rows = self._structure()
             x, v, _, length = self._columns()
             gap = x[:-1] - length[:-1]  # per pair, as in simcore
             gap -= x[1:]
-            gap[self._structure().lane_starts] = np.inf
+            gap[rows.lane_starts] = np.inf
             hit = gap < self.run.min_gap_for_near_collision
             hit &= v[1:] > v[:-1]
             hit |= gap < 0.0
@@ -597,8 +593,8 @@ class LockstepWorld(World):
                 hits = list(zip(self._objs[followers].tolist(),
                                 self._objs[leaders].tolist(),
                                 collided.tolist()))
-                ends = self._slot_seg[followers].searchsorted(
-                    self._seg_ids, side="right").tolist()
+                ends = (hit + 1).searchsorted(
+                    rows.group_start[self._n_lanes::self._n_lanes]).tolist()
         crashed, lo = [], 0
         for s, (seg, hi) in enumerate(zip(self.segments, ends)):
             if seg._record_events(hits[lo:hi]):
@@ -634,7 +630,7 @@ class LockstepWorld(World):
         if not len(leaving):
             return
         slots = order[leaving]
-        for s, veh, vx in zip(self._slot_seg[slots].tolist(),
+        for s, veh, vx in zip((rows.group[leaving] // self._n_lanes).tolist(),
                               self._objs[slots].tolist(),
                               x[leaving].tolist()):
             world = self.segments[s]
@@ -669,9 +665,10 @@ def _scan(world: LockstepWorld, episodes: list[Episode],
         x, v, a, length = (np.concatenate(rows)
                            for rows in zip(*[step[3] for step in steps]))
         # rows by (step, segment, lane); pair j is row j and row j + 1
-        group = np.repeat(np.arange(len(lane_len)), lane_len)
+        layout = _Rows(lane_len, n_lanes, False)
+        group = layout.group
         dv = v[1:] - v[:-1]  # per pair: follower less leader
-        np.putmask(dv, group[1:] != group[:-1], 0.0)  # no leader
+        dv[layout.lane_starts] = 0.0  # no leader
         closing = dv > 0.0
         ttc = x[:-1] - x[1:]  # as compute_ttc
         ttc -= length[:-1]
@@ -695,8 +692,7 @@ def _scan(world: LockstepWorld, episodes: list[Episode],
             # one zero-padded line each
             width = int(counts.max()) + 1
             line = group // n_lanes
-            line_start = np.zeros(counts.size + 1, dtype=np.intp)
-            np.cumsum(counts, out=line_start[1:])
+            line_start = layout.group_start[::n_lanes]
             at = line * width + 1
             at += np.arange(n)
             at -= line_start[line]

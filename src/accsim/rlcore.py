@@ -40,9 +40,7 @@ class QNetwork:
     """Q-value MLP: input normalization -> ReLU hidden layer -> linear head."""
 
     def __init__(self, input_dim: int, output_dim: int, hidden_dim: int = 30,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng()
+                 *, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.output_dim = output_dim

@@ -28,6 +28,7 @@ from accsim.agents import (
     ttc_star_from_index,
 )
 from accsim.metrics import SafetyTally, compute_ttc
+from accsim.rlcore import CheckpointError
 from accsim.scenario import (
     RAMP_LANE,
     ROUTE_THROUGH,
@@ -459,6 +460,16 @@ def test_train_mode_mutates_and_decays_epsilon():
     assert policy.acc_agent.schedule.value < eps0
     assert len(policy.acc_agent.buffer) > 0
     assert len(policy.ttc_agent.buffer) > 0
+
+
+def test_restore_rejects_a_checkpoint_of_other_dimensions(tmp_path):
+    policy = make_adaptive_policy(load_builtin("desk"), seed=1)
+    path = tmp_path / "acc_agent.ckpt"
+    policy.acc_agent.save(path)  # GAP_ACTION_COUNT actions
+    assert policy.ttc_agent.net.output_dim == TTC_ACTION_COUNT
+    assert GAP_ACTION_COUNT != TTC_ACTION_COUNT
+    with pytest.raises(CheckpointError, match="dimensions do not match"):
+        policy.ttc_agent.restore(path)
 
 
 def test_training_smoke_reward_improves_in_most_seeds():

@@ -242,6 +242,14 @@ def test_vehicle_conservation_at_double_demand(penetration):
     for _ in range(1200):
         scalar.step()
         batch.step()
+        # the rows follow the lane lists
+        lanes = [(base, seg.lanes[lid])
+                 for base, seg in zip(batch._base, batch.segments)
+                 for lid in batch.lane_ids]
+        assert batch._order.tolist() == [base + veh.id
+                                         for base, lane in lanes
+                                         for veh in lane]
+        assert batch._lane_len.tolist() == [len(lane) for _, lane in lanes]
         queued = max(queued, conserved(scalar),
                      *(conserved(seg) for seg in batch.segments))
         assert batch.vehicle_count() == sum(seg.vehicle_count()
@@ -339,9 +347,12 @@ def test_batch_rejects_mixed_run_configurations():
     sc = load_builtin("desk")
     other = short("desk", 60.0)
     episodes = [Episode(s, PolicySpec("base").build(s), seed=1)
-                for s in (sc, other)]
-    with pytest.raises(ValueError, match="one run configuration"):
-        LockstepWorld([ep.world for ep in episodes])
+                for s in (sc, other, sc)]
+    episodes[2].world.step()
+    for worlds, match in ((episodes[:2], "one run configuration"),
+                          (episodes[::2], "new worlds")):
+        with pytest.raises(ValueError, match=match):
+            LockstepWorld([ep.world for ep in worlds])
 
 
 def test_out_of_order_lane_is_resorted_as_in_scalar_world():

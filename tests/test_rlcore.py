@@ -4,6 +4,8 @@ import builtins
 import errno
 import hashlib
 import math
+import struct
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -395,14 +397,27 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert sched2.value == sched.value and sched2.steps == sched.steps
 
 
-def test_checkpoint_truncation_raises(tmp_path):
-    net = make_net(seed=17)
+def saved_payload(tmp_path):
+    """(path, payload) of a saved checkpoint: its bytes less the CRC32
+    trailer."""
     path = tmp_path / "net.ckpt"
-    rlcore.save_checkpoint(path, net, AdamState(), EpsilonSchedule())
-    blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(CheckpointError):
-        rlcore.load_checkpoint(path)
+    rlcore.save_checkpoint(path, make_net(seed=17), AdamState(),
+                           EpsilonSchedule())
+    return path, path.read_bytes()[:-4]
+
+
+def write_checked(path, payload):
+    """`payload` with a valid CRC32 trailer, so a load gets past the
+    checksum to the check under test."""
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+def test_checkpoint_truncation_raises(tmp_path):
+    path, payload = saved_payload(tmp_path)
+    for blob in (payload[:4], payload[:len(payload) // 2]):
+        write_checked(path, blob)  # shorter than 12 bytes, then half
+        with pytest.raises(CheckpointError, match="checkpoint file truncated"):
+            rlcore.load_checkpoint(path)
 
 
 def test_checkpoint_corruption_raises(tmp_path):
@@ -417,9 +432,24 @@ def test_checkpoint_corruption_raises(tmp_path):
 
 
 def test_checkpoint_bad_magic_raises(tmp_path):
-    path = tmp_path / "net.ckpt"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(CheckpointError):
+    path, payload = saved_payload(tmp_path)
+    write_checked(path, b"NOPE" + payload[4:])
+    with pytest.raises(CheckpointError, match="bad magic"):
+        rlcore.load_checkpoint(path)
+
+
+def test_checkpoint_unsupported_version_raises(tmp_path):
+    path, payload = saved_payload(tmp_path)
+    write_checked(path, payload[:4] + struct.pack("<I", 2) + payload[8:])
+    with pytest.raises(CheckpointError,
+                       match="unsupported checkpoint version 2"):
+        rlcore.load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_raise(tmp_path):
+    path, payload = saved_payload(tmp_path)
+    write_checked(path, payload + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing bytes"):
         rlcore.load_checkpoint(path)
 
 
