@@ -629,8 +629,8 @@ class LockstepWorld(World):
         leaving = gone.nonzero()[0]
         if not len(leaving):
             return
-        slots = order[leaving]
-        for s, veh, vx in zip((rows.group[leaving] // self._n_lanes).tolist(),
+        slots, groups = order[leaving], rows.group[leaving]
+        for s, veh, vx in zip((groups // self._n_lanes).tolist(),
                               self._objs[slots].tolist(),
                               x[leaving].tolist()):
             world = self.segments[s]
@@ -638,7 +638,7 @@ class LockstepWorld(World):
             world._record_departure(veh, vx >= end)
         self._objs[slots] = None  # as the scalar world, keep no departed one
         self._set_order(order[~gone], self._lane_len - np.bincount(
-            rows.group[leaving], minlength=len(self._lane_len)))
+            groups, minlength=len(self._lane_len)))
 
 
 def _scan(world: LockstepWorld, episodes: list[Episode],
@@ -657,8 +657,6 @@ def _scan(world: LockstepWorld, episodes: list[Episode],
     past = [time >= world.run.warmup_duration for time, *_ in steps]
     order = np.concatenate([step[1] for step in steps])
     lane_len = np.concatenate([step[2] for step in steps])
-    counts = lane_len.reshape(len(steps), n_seg, n_lanes).sum(axis=2)
-    last = counts[-1].tolist()  # rows per segment at the last step
     n = len(order)
     step_ttcs = [[] for _ in episodes]
     if n:
@@ -667,6 +665,9 @@ def _scan(world: LockstepWorld, episodes: list[Episode],
         # rows by (step, segment, lane); pair j is row j and row j + 1
         layout = _Rows(lane_len, n_lanes, False)
         group = layout.group
+        line_start = layout.group_start[::n_lanes]  # per (step, segment)
+        counts = np.diff(line_start).reshape(len(steps), n_seg)
+        last = counts[-1].tolist()  # rows per segment at the last step
         dv = v[1:] - v[:-1]  # per pair: follower less leader
         dv[layout.lane_starts] = 0.0  # no leader
         closing = dv > 0.0
@@ -692,7 +693,6 @@ def _scan(world: LockstepWorld, episodes: list[Episode],
             # one zero-padded line each
             width = int(counts.max()) + 1
             line = group // n_lanes
-            line_start = layout.group_start[::n_lanes]
             at = line * width + 1
             at += np.arange(n)
             at -= line_start[line]
